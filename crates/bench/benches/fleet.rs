@@ -74,7 +74,6 @@ fn bench_fleet(c: &mut Criterion) {
         FleetConfig {
             shards: 8,
             micro_batch: 512,
-            workers: 0,
             ekf_fallback: None,
             ..FleetConfig::default()
         },

@@ -122,7 +122,6 @@ fn new_engine(model: &pinnsoc::SocModel, fleet_size: usize) -> FleetEngine {
         FleetConfig {
             shards: SHARDS,
             micro_batch: MICRO_BATCH,
-            workers: 0,
             ekf_fallback: None,
             ..FleetConfig::default()
         },

@@ -120,7 +120,6 @@ fn build_tier(cells: usize, engines: usize, ring_capacity: usize) -> ServeTier {
             fleet: FleetConfig {
                 shards: SHARDS,
                 micro_batch: 512,
-                workers: 0,
                 ekf_fallback: None,
                 ..FleetConfig::default()
             },

@@ -13,8 +13,8 @@
 //! - **f32 SIMD ≥ 2× scalar** on the serving model's GEMM shapes (best
 //!   shape). The hand kernels use separate multiply + add per step (FMA
 //!   would break the bit-exactness contract), so AVX2 peak throughput is
-//!   exactly 2× the SSE2 peak the autovectorized scalar reference
-//!   reaches — the end-to-end forward (which shares epilogue/dispatch
+//!   exactly 2× the 128-bit mul+add peak the autovectorized scalar
+//!   reference reaches — the end-to-end forward (which shares epilogue/dispatch
 //!   overhead across paths and compresses any ratio toward 1) instead
 //!   asserts a conservative ≥ 1.4× floor.
 //! - **int8 ≥ 1.5× SIMD f32** on the serving model's GEMM shapes (best
@@ -124,7 +124,7 @@ fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
 
 /// Every kernel path the host can actually execute, scalar first.
 fn host_paths() -> Vec<KernelPath> {
-    [KernelPath::Scalar, KernelPath::Sse2, KernelPath::Avx2]
+    [KernelPath::Scalar, KernelPath::Avx2]
         .into_iter()
         .filter(|&p| p <= kernel::detect())
         .collect()

@@ -222,7 +222,7 @@ pub struct HostInfo {
     pub arch: &'static str,
     /// Short git revision of the measured tree, or `"unknown"`.
     pub git_rev: String,
-    /// Active GEMM kernel path on the measuring host (`avx2` / `sse2` /
+    /// Active GEMM kernel path on the measuring host (`avx2` /
     /// `scalar`), as resolved by `pinnsoc_nn::kernel::active` — forced
     /// paths (`PINNSOC_FORCE_KERNEL`) are reported as forced, so bench
     /// JSONs from different hosts or forcing modes stay comparable.

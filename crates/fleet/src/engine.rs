@@ -50,10 +50,10 @@ pub struct FleetConfig {
     /// fastest among 128–4096 on the reference core).
     pub micro_batch: usize,
     /// Persistent worker threads assisting the calling thread during batch
-    /// passes. `0` means auto: one less than the machine's available
-    /// parallelism (the caller participates in every pass), capped at the
-    /// shard count — so a single-core host runs the whole pass on the
-    /// calling thread with no cross-thread handoff at all.
+    /// passes, capped at the shard count. `0` runs every pass on the
+    /// calling thread with no cross-thread handoff. Defaults to one less
+    /// than the machine's available parallelism, since the caller
+    /// participates in every pass.
     pub workers: usize,
     /// When set, every registered cell carries an EKF fallback estimator
     /// built from these parameters (used when no network estimate covers
@@ -65,10 +65,11 @@ pub struct FleetConfig {
 
 impl Default for FleetConfig {
     fn default() -> Self {
+        let cores = std::thread::available_parallelism().ok().map(usize::from);
         Self {
-            shards: std::thread::available_parallelism().map_or(4, usize::from),
+            shards: cores.unwrap_or(4),
             micro_batch: 256,
-            workers: 0,
+            workers: cores.map_or(0, |c| c - 1),
             ekf_fallback: None,
             serving: ServingMode::F32,
         }
@@ -166,11 +167,6 @@ impl TelemetryStats {
 /// bench harness times it as a block instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
-    /// Legacy stage: draining queued telemetry into the per-cell
-    /// integrators. Integration now happens at ingest (outside the batch
-    /// pass), so this reads zero; the field survives so recorded
-    /// `BENCH_fleet.json` breakdowns keep a stable schema across PRs.
-    pub coalesce: Duration,
     /// Assembling normalized feature rows from the structure-of-arrays
     /// cell state into the batch input matrix.
     pub gather: Duration,
@@ -183,11 +179,10 @@ pub struct StageTimes {
 impl StageTimes {
     /// Sum of all stages.
     pub fn total(&self) -> Duration {
-        self.coalesce + self.gather + self.gemm + self.scatter
+        self.gather + self.gemm + self.scatter
     }
 
     fn accumulate(&mut self, other: &StageTimes) {
-        self.coalesce += other.coalesce;
         self.gather += other.gather;
         self.gemm += other.gemm;
         self.scatter += other.scatter;
@@ -283,7 +278,7 @@ impl Shard {
         // `stage` holds exactly this pass's times; the engine accumulates
         // per-tick deltas when the shard checks back in. Integration
         // happened at ingest (see `absorb_one`), so the pass starts straight
-        // at the gather stage and `coalesce` stays zero.
+        // at the gather stage.
         self.stage = StageTimes::default();
         let absorbed = std::mem::take(&mut self.tick_absorbed);
         let mut mark = Instant::now();
@@ -475,12 +470,7 @@ impl FleetEngine {
             micro_batch: config.micro_batch.max(1),
             ..config
         };
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism().map_or(0, |p| usize::from(p).saturating_sub(1))
-        } else {
-            config.workers
-        }
-        .min(config.shards);
+        let workers = config.workers.min(config.shards);
         let shards = (0..config.shards).map(|_| Some(Shard::new())).collect();
         let pool = WorkerPool::new(Arc::clone(&registry), workers);
         Self {
@@ -1055,8 +1045,8 @@ impl FleetEngine {
 
     /// Cumulative per-stage batch-pass times, summed over all shards since
     /// construction or the last [`FleetEngine::reset_stage_times`]. The
-    /// bench harness uses this for the ingest/coalesce/GEMM/scatter
-    /// breakdown in `BENCH_fleet.json`.
+    /// bench harness uses this for the gather/GEMM/scatter breakdown in
+    /// `BENCH_fleet.json`.
     pub fn stage_times(&self) -> StageTimes {
         self.stage_times
     }
@@ -1166,7 +1156,8 @@ mod tests {
     }
 
     /// Engine with an explicit worker-thread count, so the pool handoff is
-    /// exercised even on single-core test hosts (where auto = 0 workers).
+    /// exercised even on single-core test hosts (where the default is 0
+    /// workers).
     fn engine_with_workers(cells: u64, shards: usize, workers: usize) -> FleetEngine {
         let mut engine = FleetEngine::new(
             untrained_model(),

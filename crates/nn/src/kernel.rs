@@ -1,20 +1,24 @@
 //! Runtime-dispatched SIMD kernel paths for the GEMM layer.
 //!
 //! The scalar micro-tile kernels in [`crate::matrix`] are the universal
-//! fallback and the bit-exactness reference. On `x86_64` this module adds
-//! hand-written SSE2 and AVX2 kernels that vectorize across the *output
-//! column* dimension: each output element still accumulates its products in
-//! ascending-`k` order with one multiply and one add per step (no FMA, no
-//! tree reductions), so every path produces bit-identical results — the
-//! SIMD lanes simply compute eight (or four) independent ascending-`k`
-//! accumulators side by side. See the crate-level [bit-exactness
-//! contract](crate#bit-exactness-contract).
+//! fallback and the bit-exactness reference. On `x86_64` hosts with AVX2
+//! this module adds hand-written 256-bit kernels that vectorize across the
+//! *output column* dimension: each output element still accumulates its
+//! products in ascending-`k` order with one multiply and one add per step
+//! (no FMA, no tree reductions), so both paths produce bit-identical
+//! results — the SIMD lanes simply compute eight independent
+//! ascending-`k` accumulators side by side. See the crate-level
+//! [bit-exactness contract](crate#bit-exactness-contract).
+//!
+//! AVX2 is the only vector path. A 128-bit tier would reach no more than
+//! the autovectorized scalar reference already does, while AVX2's
+//! mul+add peak is twice that.
 //!
 //! The int8 quantized kernels (serving [`crate::quant`]) ride the same
-//! dispatch: SSE2/AVX2 `maddubs → madd` pair products, upgraded in place to
-//! AVX-VNNI `vpdpbusd` and further to AVX-512-VNNI (two 8-column panels per
-//! 512-bit accumulate) when the host supports them. Unlike the f32 paths,
-//! these sub-variants need no lane-order discipline to agree: every flavor
+//! dispatch: AVX2 `madd` pair products, upgraded in place to AVX-VNNI
+//! `vpdpwssd` and further to AVX-512-VNNI (two 8-column panels per 512-bit
+//! accumulate) when the host supports them. Unlike the f32 paths, these
+//! sub-variants need no lane-order discipline to agree: every flavor
 //! computes the *exact* i32 sum of the same products, and integer addition
 //! is associative — so all int8 variants are bit-identical to each other
 //! (and to the scalar int8 reference) by construction, just not to f32.
@@ -25,16 +29,16 @@
 //!
 //! 1. a programmatic override installed with [`force`] (tests, engine
 //!    config), else
-//! 2. the `PINNSOC_FORCE_KERNEL` environment variable (`scalar` / `sse2` /
-//!    `avx2`, read once per process), else
+//! 2. the `PINNSOC_FORCE_KERNEL` environment variable (`scalar` / `avx2`,
+//!    read once per process), else
 //! 3. the best path the host supports ([`detect`], using
 //!    `is_x86_feature_detected!`).
 //!
 //! Forcing a path the host cannot run clamps down to the best supported
-//! one (forcing `avx2` on an SSE2-only host yields `sse2`), so a forced
-//! process can never execute illegal instructions. Because every path is
-//! bit-identical, forcing is always observably safe — it only changes
-//! speed.
+//! one (forcing `avx2` on a host without AVX2 yields `scalar`), so a
+//! forced process can never execute illegal instructions. Because every
+//! path is bit-identical, forcing is always observably safe — it only
+//! changes speed.
 
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -43,14 +47,13 @@ use std::sync::OnceLock;
 /// One of the implementations the GEMM layer can dispatch to.
 ///
 /// Discriminants are ordered by capability so clamping a forced path to
-/// the host's best supported path is a `min`.
+/// the host's best supported path is a `min`. They are also the values of
+/// the `pinnsoc_fleet_kernel_path` gauge, so they stay fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum KernelPath {
     /// Portable scalar micro-tile kernels (the reference implementation).
     Scalar = 1,
-    /// 128-bit SSE2 kernels (baseline on every `x86_64`).
-    Sse2 = 2,
     /// 256-bit AVX2 kernels (runtime-detected).
     Avx2 = 3,
 }
@@ -61,7 +64,6 @@ impl KernelPath {
     pub fn as_str(self) -> &'static str {
         match self {
             KernelPath::Scalar => "scalar",
-            KernelPath::Sse2 => "sse2",
             KernelPath::Avx2 => "avx2",
         }
     }
@@ -69,7 +71,6 @@ impl KernelPath {
     fn from_u8(v: u8) -> Option<Self> {
         match v {
             1 => Some(KernelPath::Scalar),
-            2 => Some(KernelPath::Sse2),
             3 => Some(KernelPath::Avx2),
             _ => None,
         }
@@ -88,10 +89,9 @@ impl FromStr for KernelPath {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Ok(KernelPath::Scalar),
-            "sse2" => Ok(KernelPath::Sse2),
             "avx2" => Ok(KernelPath::Avx2),
             other => Err(format!(
-                "unknown kernel path '{other}' (expected scalar, sse2 or avx2)"
+                "unknown kernel path '{other}' (expected scalar or avx2)"
             )),
         }
     }
@@ -102,16 +102,10 @@ pub fn detect() -> KernelPath {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            KernelPath::Avx2
-        } else {
-            // SSE2 is part of the x86_64 baseline.
-            KernelPath::Sse2
+            return KernelPath::Avx2;
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        KernelPath::Scalar
-    }
+    KernelPath::Scalar
 }
 
 /// Programmatic override: 0 = none, else a `KernelPath` discriminant.
@@ -156,7 +150,6 @@ pub fn int8_flavor() -> &'static str {
     {
         match active() {
             KernelPath::Scalar => "scalar",
-            KernelPath::Sse2 => "sse2-madd",
             KernelPath::Avx2 => {
                 if x86::vnni512() {
                     "avx512-vnni"
@@ -234,39 +227,6 @@ pub(crate) mod x86 {
         }
     }
 
-    /// AVX2 eight-column variant of [`strip16`].
-    ///
-    /// # Safety
-    ///
-    /// As [`strip16`] with 8 columns instead of 16: `b` must hold
-    /// `(depth - 1) * b_stride + 8` floats, `out` must hold
-    /// `(IB - 1) * out_stride + 8`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn strip8<const IB: usize>(
-        lhs: *const f32,
-        depth: usize,
-        b: *const f32,
-        b_stride: usize,
-        out: *mut f32,
-        out_stride: usize,
-    ) {
-        // SAFETY: same access pattern as `strip16` narrowed to 8 columns,
-        // inside the caller-guaranteed ranges.
-        unsafe {
-            let mut acc = [_mm256_setzero_ps(); IB];
-            for k in 0..depth {
-                let w = _mm256_loadu_ps(b.add(k * b_stride));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a = _mm256_broadcast_ss(&*lhs.add(r * depth + k));
-                    *acc_r = _mm256_add_ps(*acc_r, _mm256_mul_ps(a, w));
-                }
-            }
-            for (r, &acc_r) in acc.iter().enumerate() {
-                _mm256_storeu_ps(out.add(r * out_stride), acc_r);
-            }
-        }
-    }
-
     /// AVX2 multi-strip kernel: `strips` consecutive eight-column strips
     /// of `out = lhs · b` in one call — the strip loop lives inside the
     /// `#[target_feature]` boundary, so tall row blocks (which cannot use
@@ -275,7 +235,7 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     ///
-    /// As [`strip8`] over `strips * 8` columns: `b` must hold
+    /// As [`strip16`] over `strips * 8` columns: `b` must hold
     /// `(depth - 1) * b_stride + strips * 8` floats, `out` must hold
     /// `(IB - 1) * out_stride + strips * 8`.
     #[target_feature(enable = "avx2")]
@@ -291,7 +251,7 @@ pub(crate) mod x86 {
     ) {
         // SAFETY: strip `s` touches columns `s * 8 .. s * 8 + 8`, inside
         // the caller-guaranteed `strips * 8`; per-strip accesses are
-        // exactly those of `strip8`.
+        // those of `strip16` narrowed to 8 columns.
         unsafe {
             for s in 0..strips {
                 let bs = b.add(s * 8);
@@ -404,88 +364,16 @@ pub(crate) mod x86 {
         }
     }
 
-    /// SSE2 column-strip kernel: `IB` rows × 8 columns in two four-lane
-    /// registers per row.
-    ///
-    /// # Safety
-    ///
-    /// As [`strip16`] with 8 columns: `b` must hold
-    /// `(depth - 1) * b_stride + 8` floats, `out` must hold
-    /// `(IB - 1) * out_stride + 8`.
-    unsafe fn sse2_strip8<const IB: usize>(
-        lhs: *const f32,
-        depth: usize,
-        b: *const f32,
-        b_stride: usize,
-        out: *mut f32,
-        out_stride: usize,
-    ) {
-        // SAFETY: same access pattern as `strip16` narrowed to 8 columns,
-        // inside the caller-guaranteed ranges. SSE2 is part of the x86_64
-        // baseline, so no runtime feature check is needed.
-        unsafe {
-            let mut acc0 = [_mm_setzero_ps(); IB];
-            let mut acc1 = [_mm_setzero_ps(); IB];
-            for k in 0..depth {
-                let w0 = _mm_loadu_ps(b.add(k * b_stride));
-                let w1 = _mm_loadu_ps(b.add(k * b_stride + 4));
-                for r in 0..IB {
-                    let a = _mm_set1_ps(*lhs.add(r * depth + k));
-                    acc0[r] = _mm_add_ps(acc0[r], _mm_mul_ps(a, w0));
-                    acc1[r] = _mm_add_ps(acc1[r], _mm_mul_ps(a, w1));
-                }
-            }
-            for r in 0..IB {
-                _mm_storeu_ps(out.add(r * out_stride), acc0[r]);
-                _mm_storeu_ps(out.add(r * out_stride + 4), acc1[r]);
-            }
-        }
-    }
-
-    /// SSE2 four-column variant of [`sse2_strip8`].
-    ///
-    /// # Safety
-    ///
-    /// As [`strip16`] with 4 columns: `b` must hold
-    /// `(depth - 1) * b_stride + 4` floats, `out` must hold
-    /// `(IB - 1) * out_stride + 4`.
-    unsafe fn sse2_strip4<const IB: usize>(
-        lhs: *const f32,
-        depth: usize,
-        b: *const f32,
-        b_stride: usize,
-        out: *mut f32,
-        out_stride: usize,
-    ) {
-        // SAFETY: same access pattern as `sse2_strip8` narrowed to 4
-        // columns, inside the caller-guaranteed ranges.
-        unsafe {
-            let mut acc = [_mm_setzero_ps(); IB];
-            for k in 0..depth {
-                let w = _mm_loadu_ps(b.add(k * b_stride));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a = _mm_set1_ps(*lhs.add(r * depth + k));
-                    *acc_r = _mm_add_ps(*acc_r, _mm_mul_ps(a, w));
-                }
-            }
-            for (r, &acc_r) in acc.iter().enumerate() {
-                _mm_storeu_ps(out.add(r * out_stride), acc_r);
-            }
-        }
-    }
-
     /// Safe wrapper: one `IB`-row block of `out = lhs · b` over `cols`
-    /// columns of a k-major operand, SIMD strips first, scalar tail after.
-    /// `spill` provides scratch the strip kernels can overshoot into when
-    /// `cols` is not a multiple of the strip width **and** the caller has
-    /// no padded columns (`b_padded == false` means tails run scalar
-    /// instead).
+    /// columns of a k-major operand, AVX2 strips first, tail after. With
+    /// `b_padded` the operand carries zero-padded columns up to the next
+    /// multiple of 8 and the tail runs one more strip into a stack buffer;
+    /// otherwise the last `cols % 8` columns run scalar.
     ///
-    /// `avx2` selects the 256-bit kernels; the caller must have verified
-    /// AVX2 support (this wrapper debug-asserts it).
+    /// AVX2-only — the caller must have verified support (this wrapper
+    /// debug-asserts it).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn gemm_block<const IB: usize>(
-        avx2: bool,
         lhs: &[f32],
         depth: usize,
         b: &[f32],
@@ -497,137 +385,72 @@ pub(crate) mod x86 {
     ) {
         debug_assert!(lhs.len() >= IB * depth);
         debug_assert!(out.len() >= (IB - 1) * out_stride + cols);
-        debug_assert!(!avx2 || std::arch::is_x86_feature_detected!("avx2"));
-        let simd_cols = if b_padded {
-            cols
-        } else if avx2 {
-            cols - cols % 8
-        } else {
-            cols - cols % 4
-        };
-        let padded_cols = if b_padded {
-            simd_cols.next_multiple_of(if avx2 { 8 } else { 4 })
-        } else {
-            simd_cols
-        };
-        debug_assert!(b.len() >= (depth - 1) * b_stride + padded_cols.max(1));
+        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+        let simd_cols = if b_padded { cols } else { cols - cols % 8 };
+        debug_assert!(b.len() >= (depth - 1) * b_stride + simd_cols.next_multiple_of(8).max(1));
         let mut j = 0;
         // Full-width strips that store straight into `out`. The 16-column
         // strip needs two accumulator registers per row, so it only fits
         // the register file for row blocks of at most 4 — taller blocks
         // sweep 8 columns at a time instead (same port-limited throughput,
         // half the per-block call overhead).
-        if avx2 {
-            while IB <= 4 && j + 16 <= simd_cols {
-                // SAFETY: j + 16 <= simd_cols <= cols keeps every read of
-                // `b` (k * b_stride + j..+16) and write of `out`
-                // (r * out_stride + j..+16) inside the slices, per the
-                // debug-asserted lengths above. AVX2 support is the
-                // caller's contract, debug-asserted above.
-                unsafe {
-                    strip16::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        out.as_mut_ptr().add(j),
-                        out_stride,
-                    )
-                };
-                j += 16;
-            }
-            let strips = (simd_cols - j) / 8;
-            if strips > 0 {
-                // SAFETY: as above over `strips * 8` columns starting at
-                // `j` — `j + strips * 8 <= simd_cols <= cols` keeps every
-                // access inside the debug-asserted slice lengths.
-                unsafe {
-                    strips8_avx2::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        strips,
-                        out.as_mut_ptr().add(j),
-                        out_stride,
-                    )
-                };
-                j += strips * 8;
-            }
-        } else {
-            while j + 8 <= simd_cols {
-                // SAFETY: as the AVX2 strips above, with SSE2 kernels
-                // (baseline on x86_64, no feature check needed).
-                unsafe {
-                    sse2_strip8::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        out.as_mut_ptr().add(j),
-                        out_stride,
-                    )
-                };
-                j += 8;
-            }
-            while j + 4 <= simd_cols {
-                // SAFETY: as above, narrowed to 4 columns.
-                unsafe {
-                    sse2_strip4::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        out.as_mut_ptr().add(j),
-                        out_stride,
-                    )
-                };
-                j += 4;
-            }
+        while IB <= 4 && j + 16 <= simd_cols {
+            // SAFETY: j + 16 <= simd_cols <= cols keeps every read of
+            // `b` (k * b_stride + j..+16) and write of `out`
+            // (r * out_stride + j..+16) inside the slices, per the
+            // debug-asserted lengths above. AVX2 support is the
+            // caller's contract, debug-asserted above.
+            unsafe {
+                strip16::<IB>(
+                    lhs.as_ptr(),
+                    depth,
+                    b.as_ptr().add(j),
+                    b_stride,
+                    out.as_mut_ptr().add(j),
+                    out_stride,
+                )
+            };
+            j += 16;
+        }
+        let strips = (simd_cols - j) / 8;
+        if strips > 0 {
+            // SAFETY: as above over `strips * 8` columns starting at
+            // `j` — `j + strips * 8 <= simd_cols <= cols` keeps every
+            // access inside the debug-asserted slice lengths.
+            unsafe {
+                strips8_avx2::<IB>(
+                    lhs.as_ptr(),
+                    depth,
+                    b.as_ptr().add(j),
+                    b_stride,
+                    strips,
+                    out.as_mut_ptr().add(j),
+                    out_stride,
+                )
+            };
+            j += strips * 8;
         }
         // Padded tail: the operand guarantees a full strip of columns
         // (zero-padded), but `out` only has `cols` — compute the full
         // strip for the whole row block into a stack buffer and copy the
         // live lanes out per row.
         if b_padded && j < cols {
-            let width = padded_cols - j;
             const { assert!(IB <= 8, "tail buffer sized for row blocks of at most 8") };
             let mut buf = [0.0f32; 64];
-            // SAFETY: the padded operand holds `padded_cols` columns per
-            // k-row (caller contract, debug-asserted above); `buf` holds
-            // `IB` rows of 8 writable floats at stride 8 (IB ≤ 8 by the
-            // const assert) and `width` is 8 (AVX2) or 4/8 (SSE2).
+            // SAFETY: the padded operand holds `j + 8` columns per k-row
+            // (caller contract, debug-asserted above); `buf` holds `IB`
+            // rows of 8 writable floats at stride 8 (IB ≤ 8 by the const
+            // assert).
             unsafe {
-                if avx2 {
-                    debug_assert_eq!(width, 8);
-                    strip8::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        buf.as_mut_ptr(),
-                        8,
-                    );
-                } else if width == 8 {
-                    sse2_strip8::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        buf.as_mut_ptr(),
-                        8,
-                    );
-                } else {
-                    debug_assert_eq!(width, 4);
-                    sse2_strip4::<IB>(
-                        lhs.as_ptr(),
-                        depth,
-                        b.as_ptr().add(j),
-                        b_stride,
-                        buf.as_mut_ptr(),
-                        8,
-                    );
-                }
+                strips8_avx2::<IB>(
+                    lhs.as_ptr(),
+                    depth,
+                    b.as_ptr().add(j),
+                    b_stride,
+                    1,
+                    buf.as_mut_ptr(),
+                    8,
+                );
             }
             for r in 0..IB {
                 out[r * out_stride + j..r * out_stride + cols]
@@ -690,45 +513,10 @@ pub(crate) mod x86 {
         }
     }
 
-    /// SSE2 variant of [`int8_strip8`]: two four-lane halves per row.
-    ///
-    /// # Safety
-    ///
-    /// As [`int8_strip8`].
-    unsafe fn sse2_int8_strip8<const IB: usize>(
-        q: *const i16,
-        q_stride: usize,
-        kpairs: usize,
-        wp: *const i16,
-        acc: *mut i32,
-        acc_stride: usize,
-    ) {
-        // SAFETY: same access ranges as `int8_strip8`; `_mm_madd_epi16`
-        // is SSE2, part of the x86_64 baseline.
-        unsafe {
-            let mut lo = [_mm_setzero_si128(); IB];
-            let mut hi = [_mm_setzero_si128(); IB];
-            for kk in 0..kpairs {
-                let w0 = _mm_loadu_si128(wp.add(kk * 16) as *const __m128i);
-                let w1 = _mm_loadu_si128(wp.add(kk * 16 + 8) as *const __m128i);
-                for r in 0..IB {
-                    let pair = (q.add(r * q_stride + 2 * kk) as *const i32).read_unaligned();
-                    let a = _mm_set1_epi32(pair);
-                    lo[r] = _mm_add_epi32(lo[r], _mm_madd_epi16(a, w0));
-                    hi[r] = _mm_add_epi32(hi[r], _mm_madd_epi16(a, w1));
-                }
-            }
-            for r in 0..IB {
-                _mm_storeu_si128(acc.add(r * acc_stride) as *mut __m128i, lo[r]);
-                _mm_storeu_si128(acc.add(r * acc_stride + 4) as *mut __m128i, hi[r]);
-            }
-        }
-    }
-
-    /// Safe wrapper over the int8 strip kernels: one `IB`-row block of a
-    /// panel's i32 accumulators.
+    /// Safe wrapper over [`int8_strip8`]: one `IB`-row block of a panel's
+    /// i32 accumulators. AVX2-only — the caller must have verified support
+    /// (debug-asserted).
     pub(crate) fn int8_block<const IB: usize>(
-        avx2: bool,
         q: &[i16],
         q_stride: usize,
         kpairs: usize,
@@ -739,30 +527,19 @@ pub(crate) mod x86 {
         debug_assert!(q.len() >= (IB - 1) * q_stride + 2 * kpairs);
         debug_assert!(wp.len() >= kpairs * 16);
         debug_assert!(acc.len() >= (IB - 1) * acc_stride + 8);
-        debug_assert!(!avx2 || std::arch::is_x86_feature_detected!("avx2"));
+        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
         // SAFETY: the slice lengths debug-asserted above are exactly the
-        // kernels' documented obligations; AVX2 support is the caller's
+        // kernel's documented obligations; AVX2 support is the caller's
         // contract (debug-asserted).
         unsafe {
-            if avx2 {
-                int8_strip8::<IB>(
-                    q.as_ptr(),
-                    q_stride,
-                    kpairs,
-                    wp.as_ptr(),
-                    acc.as_mut_ptr(),
-                    acc_stride,
-                );
-            } else {
-                sse2_int8_strip8::<IB>(
-                    q.as_ptr(),
-                    q_stride,
-                    kpairs,
-                    wp.as_ptr(),
-                    acc.as_mut_ptr(),
-                    acc_stride,
-                );
-            }
+            int8_strip8::<IB>(
+                q.as_ptr(),
+                q_stride,
+                kpairs,
+                wp.as_ptr(),
+                acc.as_mut_ptr(),
+                acc_stride,
+            );
         }
     }
 
@@ -1156,7 +933,7 @@ pub(crate) mod x86 {
     /// of quantized serving. Integer accumulation is exact, so the VNNI
     /// family is bit-identical to plain AVX2 and rides the
     /// [`KernelPath::Avx2`](super::KernelPath::Avx2) path invisibly;
-    /// forcing `sse2`/`scalar` bypasses it along with the rest of AVX2.
+    /// forcing `scalar` bypasses it along with the rest of AVX2.
     pub(crate) fn vnni() -> bool {
         static VNNI: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         *VNNI.get_or_init(|| std::arch::is_x86_feature_detected!("avxvnni"))
@@ -1169,7 +946,7 @@ pub(crate) mod x86 {
     /// shared across both panels). Integer accumulation is exact, so this
     /// family is bit-identical to the 256-bit ones and — like plain
     /// AVX-VNNI — rides the [`KernelPath::Avx2`](super::KernelPath::Avx2)
-    /// path invisibly; forcing `sse2`/`scalar` bypasses it.
+    /// path invisibly; forcing `scalar` bypasses it.
     pub(crate) fn vnni512() -> bool {
         static VNNI512: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         *VNNI512.get_or_init(|| {
@@ -1501,163 +1278,10 @@ pub(crate) mod x86 {
         }
     }
 
-    /// SSE2 variant of [`int8_panel_sums_avx2`]: the panel's accumulators
-    /// as two four-lane halves.
-    ///
-    /// # Safety
-    ///
-    /// As [`int8_panel_sums_avx2`].
-    #[inline]
-    unsafe fn int8_panel_sums_sse2<const IB: usize>(
-        q: *const i16,
-        q_stride: usize,
-        kpairs: usize,
-        wpp: *const i16,
-    ) -> ([__m128i; IB], [__m128i; IB]) {
-        // SAFETY: accesses are exactly the caller-guaranteed ranges
-        // above; all instructions are SSE2 (x86_64 baseline).
-        unsafe {
-            let mut lo = [_mm_setzero_si128(); IB];
-            let mut hi = [_mm_setzero_si128(); IB];
-            for kk in 0..kpairs {
-                let w0 = _mm_loadu_si128(wpp.add(kk * 16) as *const __m128i);
-                let w1 = _mm_loadu_si128(wpp.add(kk * 16 + 8) as *const __m128i);
-                for r in 0..IB {
-                    let pair = (q.add(r * q_stride + 2 * kk) as *const i32).read_unaligned();
-                    let a = _mm_set1_epi32(pair);
-                    lo[r] = _mm_add_epi32(lo[r], _mm_madd_epi16(a, w0));
-                    hi[r] = _mm_add_epi32(hi[r], _mm_madd_epi16(a, w1));
-                }
-            }
-            (lo, hi)
-        }
-    }
-
-    /// SSE2 variant of [`int8_fused_block_avx2`]: two four-lane halves
-    /// per panel.
-    ///
-    /// # Safety
-    ///
-    /// As [`int8_fused_block_avx2`].
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn int8_fused_block_sse2<const IB: usize>(
-        q: *const i16,
-        q_stride: usize,
-        kpairs: usize,
-        wp: *const i16,
-        panel_count: usize,
-        fan_out: usize,
-        dequant: *const f32,
-        bias: *const f32,
-        out: *mut f32,
-        out_stride: usize,
-        relu: bool,
-    ) {
-        // SAFETY: same access ranges as `int8_fused_block_avx2` in
-        // 128-bit halves; all instructions are SSE2 (x86_64 baseline).
-        unsafe {
-            let zero = _mm_setzero_ps();
-            for p in 0..panel_count {
-                let wpp = wp.add(p * kpairs * 16);
-                let (lo, hi) = int8_panel_sums_sse2::<IB>(q, q_stride, kpairs, wpp);
-                let j0 = p * 8;
-                if fan_out - j0 >= 8 {
-                    let d0 = _mm_loadu_ps(dequant.add(j0));
-                    let d1 = _mm_loadu_ps(dequant.add(j0 + 4));
-                    let b0 = _mm_loadu_ps(bias.add(j0));
-                    let b1 = _mm_loadu_ps(bias.add(j0 + 4));
-                    for r in 0..IB {
-                        let v0 = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(lo[r]), d0), b0);
-                        let v1 = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(hi[r]), d1), b1);
-                        let (v0, v1) = if relu {
-                            (_mm_max_ps(v0, zero), _mm_max_ps(v1, zero))
-                        } else {
-                            (v0, v1)
-                        };
-                        _mm_storeu_ps(out.add(r * out_stride + j0), v0);
-                        _mm_storeu_ps(out.add(r * out_stride + j0 + 4), v1);
-                    }
-                } else {
-                    let live = fan_out - j0;
-                    let mut buf = [0i32; 8];
-                    for r in 0..IB {
-                        _mm_storeu_si128(buf.as_mut_ptr() as *mut __m128i, lo[r]);
-                        _mm_storeu_si128(buf.as_mut_ptr().add(4) as *mut __m128i, hi[r]);
-                        for (jj, &sum) in buf.iter().enumerate().take(live) {
-                            let v = sum as f32 * *dequant.add(j0 + jj) + *bias.add(j0 + jj);
-                            *out.add(r * out_stride + j0 + jj) =
-                                if relu { crate::quant::relu_exact(v) } else { v };
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// SSE2 variant of [`int8_fused_avx2`].
-    ///
-    /// # Safety
-    ///
-    /// As [`int8_fused_avx2`].
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn int8_fused_sse2(
-        q: *const i16,
-        q_stride: usize,
-        kpairs: usize,
-        rows: usize,
-        wp: *const i16,
-        panel_count: usize,
-        fan_out: usize,
-        dequant: *const f32,
-        bias: *const f32,
-        out: *mut f32,
-        out_stride: usize,
-        relu: bool,
-    ) {
-        // SAFETY: identical blocking to `int8_fused_avx2`.
-        unsafe {
-            let mut r = 0;
-            while r + 8 <= rows {
-                int8_fused_block_sse2::<8>(
-                    q.add(r * q_stride),
-                    q_stride,
-                    kpairs,
-                    wp,
-                    panel_count,
-                    fan_out,
-                    dequant,
-                    bias,
-                    out.add(r * out_stride),
-                    out_stride,
-                    relu,
-                );
-                r += 8;
-            }
-            while r < rows {
-                int8_fused_block_sse2::<1>(
-                    q.add(r * q_stride),
-                    q_stride,
-                    kpairs,
-                    wp,
-                    panel_count,
-                    fan_out,
-                    dequant,
-                    bias,
-                    out.add(r * out_stride),
-                    out_stride,
-                    relu,
-                );
-                r += 1;
-            }
-        }
-    }
-
     /// Safe wrapper over the fused int8 forward kernels: the whole
     /// batched layer (GEMM + dequant + bias + optional ReLU) in one call.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn int8_fused(
-        avx2: bool,
         q: &[i16],
         q_stride: usize,
         kpairs: usize,
@@ -1679,13 +1303,13 @@ pub(crate) mod x86 {
         debug_assert!(wp.len() >= panel_count * kpairs * 16);
         debug_assert!(dequant.len() >= fan_out && bias.len() >= fan_out);
         debug_assert!(out.len() >= (rows - 1) * out_stride + fan_out);
-        debug_assert!(!avx2 || std::arch::is_x86_feature_detected!("avx2"));
+        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
         // SAFETY: the slice lengths debug-asserted above are exactly the
         // kernels' documented obligations; AVX2 support is the caller's
         // contract (debug-asserted) and the VNNI families are only entered
         // after `vnni512()` / `vnni()` probe the CPU itself.
         unsafe {
-            if avx2 && vnni512() {
+            if vnni512() {
                 int8_fused_avx512(
                     q.as_ptr(),
                     q_stride,
@@ -1700,7 +1324,7 @@ pub(crate) mod x86 {
                     out_stride,
                     relu,
                 );
-            } else if avx2 && vnni() {
+            } else if vnni() {
                 int8_fused_vnni(
                     q.as_ptr(),
                     q_stride,
@@ -1715,23 +1339,8 @@ pub(crate) mod x86 {
                     out_stride,
                     relu,
                 );
-            } else if avx2 {
-                int8_fused_avx2(
-                    q.as_ptr(),
-                    q_stride,
-                    kpairs,
-                    rows,
-                    wp.as_ptr(),
-                    panel_count,
-                    fan_out,
-                    dequant.as_ptr(),
-                    bias.as_ptr(),
-                    out.as_mut_ptr(),
-                    out_stride,
-                    relu,
-                );
             } else {
-                int8_fused_sse2(
+                int8_fused_avx2(
                     q.as_ptr(),
                     q_stride,
                     kpairs,
@@ -1779,178 +1388,13 @@ pub(crate) mod x86 {
         }
     }
 
-    /// SSE2 variant of [`axpy_row_avx2`].
-    ///
-    /// # Safety
-    ///
-    /// As [`axpy_row_avx2`].
-    unsafe fn axpy_row_sse2(a: f32, b: *const f32, out: *mut f32, cols: usize) {
-        // SAFETY: same bounds argument as `axpy_row_avx2` with four-lane
-        // steps.
-        unsafe {
-            let av = _mm_set1_ps(a);
-            let mut j = 0;
-            while j + 4 <= cols {
-                let o = _mm_loadu_ps(out.add(j));
-                let bv = _mm_loadu_ps(b.add(j));
-                _mm_storeu_ps(out.add(j), _mm_add_ps(o, _mm_mul_ps(av, bv)));
-                j += 4;
-            }
-            while j < cols {
-                *out.add(j) += a * *b.add(j);
-                j += 1;
-            }
-        }
-    }
-
     /// Safe wrapper: `out += a * b`, element-wise over equal-length rows.
-    pub(crate) fn axpy_row(avx2: bool, a: f32, b: &[f32], out: &mut [f32]) {
+    pub(crate) fn axpy_row(a: f32, b: &[f32], out: &mut [f32]) {
         debug_assert_eq!(b.len(), out.len());
-        debug_assert!(!avx2 || std::arch::is_x86_feature_detected!("avx2"));
+        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
         // SAFETY: both pointers carry exactly `out.len()` elements, the
-        // kernels' documented obligation; AVX2 support is debug-asserted.
-        unsafe {
-            if avx2 {
-                axpy_row_avx2(a, b.as_ptr(), out.as_mut_ptr(), out.len());
-            } else {
-                axpy_row_sse2(a, b.as_ptr(), out.as_mut_ptr(), out.len());
-            }
-        }
-    }
-
-    /// SSE2 variant of [`int8_fused_quant_block_avx2`].
-    ///
-    /// # Safety
-    ///
-    /// As [`int8_fused_quant_block_avx2`].
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn int8_fused_quant_block_sse2<const IB: usize>(
-        q: *const i16,
-        q_stride: usize,
-        kpairs: usize,
-        wp: *const i16,
-        panel_count: usize,
-        fan_out: usize,
-        dequant: *const f32,
-        bias: *const f32,
-        relu: bool,
-        inv_next: f32,
-        q_out: *mut i16,
-        q_out_stride: usize,
-    ) {
-        // SAFETY: same access ranges as `int8_fused_quant_block_avx2` in
-        // 128-bit halves; all instructions are SSE2 (x86_64 baseline).
-        unsafe {
-            let zero = _mm_setzero_ps();
-            let inv = _mm_set1_ps(inv_next);
-            let half = _mm_set1_ps(0.5);
-            let sign = _mm_set1_ps(-0.0);
-            let chi = _mm_set1_ps(127.0);
-            let clo = _mm_set1_ps(-127.0);
-            for p in 0..panel_count {
-                let wpp = wp.add(p * kpairs * 16);
-                let (lo, hi) = int8_panel_sums_sse2::<IB>(q, q_stride, kpairs, wpp);
-                let j0 = p * 8;
-                if fan_out - j0 >= 8 {
-                    let d0 = _mm_loadu_ps(dequant.add(j0));
-                    let d1 = _mm_loadu_ps(dequant.add(j0 + 4));
-                    let b0 = _mm_loadu_ps(bias.add(j0));
-                    let b1 = _mm_loadu_ps(bias.add(j0 + 4));
-                    for r in 0..IB {
-                        let v0 = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(lo[r]), d0), b0);
-                        let v1 = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(hi[r]), d1), b1);
-                        let (v0, v1) = if relu {
-                            (_mm_max_ps(v0, zero), _mm_max_ps(v1, zero))
-                        } else {
-                            (v0, v1)
-                        };
-                        let y0 = _mm_mul_ps(v0, inv);
-                        let y1 = _mm_mul_ps(v1, inv);
-                        let t0 = _mm_add_ps(y0, _mm_or_ps(half, _mm_and_ps(y0, sign)));
-                        let t1 = _mm_add_ps(y1, _mm_or_ps(half, _mm_and_ps(y1, sign)));
-                        let t0 = _mm_max_ps(_mm_min_ps(t0, chi), clo);
-                        let t1 = _mm_max_ps(_mm_min_ps(t1, chi), clo);
-                        let packed = _mm_packs_epi32(_mm_cvttps_epi32(t0), _mm_cvttps_epi32(t1));
-                        _mm_storeu_si128(q_out.add(r * q_out_stride + j0) as *mut __m128i, packed);
-                    }
-                } else {
-                    let live = fan_out - j0;
-                    let mut buf = [0i32; 8];
-                    for r in 0..IB {
-                        _mm_storeu_si128(buf.as_mut_ptr() as *mut __m128i, lo[r]);
-                        _mm_storeu_si128(buf.as_mut_ptr().add(4) as *mut __m128i, hi[r]);
-                        for (jj, &sum) in buf.iter().enumerate().take(live) {
-                            let v = sum as f32 * *dequant.add(j0 + jj) + *bias.add(j0 + jj);
-                            let v = if relu { crate::quant::relu_exact(v) } else { v };
-                            *q_out.add(r * q_out_stride + j0 + jj) =
-                                crate::quant::quantize_activation(v, inv_next);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// SSE2 whole-batch driver for [`int8_fused_quant_block_sse2`].
-    ///
-    /// # Safety
-    ///
-    /// As [`int8_fused_quant_avx2`].
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn int8_fused_quant_sse2(
-        q: *const i16,
-        q_stride: usize,
-        kpairs: usize,
-        rows: usize,
-        wp: *const i16,
-        panel_count: usize,
-        fan_out: usize,
-        dequant: *const f32,
-        bias: *const f32,
-        relu: bool,
-        inv_next: f32,
-        q_out: *mut i16,
-        q_out_stride: usize,
-    ) {
-        // SAFETY: identical blocking to `int8_fused_quant_avx2`.
-        unsafe {
-            let mut r = 0;
-            while r + 8 <= rows {
-                int8_fused_quant_block_sse2::<8>(
-                    q.add(r * q_stride),
-                    q_stride,
-                    kpairs,
-                    wp,
-                    panel_count,
-                    fan_out,
-                    dequant,
-                    bias,
-                    relu,
-                    inv_next,
-                    q_out.add(r * q_out_stride),
-                    q_out_stride,
-                );
-                r += 8;
-            }
-            while r < rows {
-                int8_fused_quant_block_sse2::<1>(
-                    q.add(r * q_stride),
-                    q_stride,
-                    kpairs,
-                    wp,
-                    panel_count,
-                    fan_out,
-                    dequant,
-                    bias,
-                    relu,
-                    inv_next,
-                    q_out.add(r * q_out_stride),
-                    q_out_stride,
-                );
-                r += 1;
-            }
-        }
+        // kernel's documented obligation; AVX2 support is debug-asserted.
+        unsafe { axpy_row_avx2(a, b.as_ptr(), out.as_mut_ptr(), out.len()) }
     }
 
     /// Safe wrapper over the quantizing fused int8 kernels: one hidden
@@ -1958,7 +1402,6 @@ pub(crate) mod x86 {
     /// quantization) for the whole batch in one call, i16 in → i16 out.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn int8_fused_quant(
-        avx2: bool,
         q: &[i16],
         q_stride: usize,
         kpairs: usize,
@@ -1981,13 +1424,13 @@ pub(crate) mod x86 {
         debug_assert!(wp.len() >= panel_count * kpairs * 16);
         debug_assert!(dequant.len() >= fan_out && bias.len() >= fan_out);
         debug_assert!(q_out.len() >= (rows - 1) * q_out_stride + fan_out);
-        debug_assert!(!avx2 || std::arch::is_x86_feature_detected!("avx2"));
+        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
         // SAFETY: the slice lengths debug-asserted above are exactly the
         // kernels' documented obligations; AVX2 support is the caller's
         // contract (debug-asserted) and the VNNI families are only entered
         // after `vnni512()` / `vnni()` probe the CPU itself.
         unsafe {
-            if avx2 && vnni512() {
+            if vnni512() {
                 int8_fused_quant_avx512(
                     q.as_ptr(),
                     q_stride,
@@ -2003,7 +1446,7 @@ pub(crate) mod x86 {
                     q_out.as_mut_ptr(),
                     q_out_stride,
                 );
-            } else if avx2 && vnni() {
+            } else if vnni() {
                 int8_fused_quant_vnni(
                     q.as_ptr(),
                     q_stride,
@@ -2019,24 +1462,8 @@ pub(crate) mod x86 {
                     q_out.as_mut_ptr(),
                     q_out_stride,
                 );
-            } else if avx2 {
-                int8_fused_quant_avx2(
-                    q.as_ptr(),
-                    q_stride,
-                    kpairs,
-                    rows,
-                    wp.as_ptr(),
-                    panel_count,
-                    fan_out,
-                    dequant.as_ptr(),
-                    bias.as_ptr(),
-                    relu,
-                    inv_next,
-                    q_out.as_mut_ptr(),
-                    q_out_stride,
-                );
             } else {
-                int8_fused_quant_sse2(
+                int8_fused_quant_avx2(
                     q.as_ptr(),
                     q_stride,
                     kpairs,
@@ -2098,59 +1525,15 @@ pub(crate) mod x86 {
         }
     }
 
-    /// SSE2 activation quantization, 8 (then 4) values per step — same
-    /// per-lane operation sequence as [`quantize_row_avx2`].
-    ///
-    /// # Safety
-    ///
-    /// As [`quantize_row_avx2`]; the vector bodies only touch `j..j+8`
-    /// (or `j..j+4`) while they fit in `n`.
-    unsafe fn quantize_row_sse2(x: *const f32, inv_scale: f32, q: *mut i16, n: usize) -> usize {
-        // SAFETY: loads/stores bounded by the `j + 8 <= n` / `j + 4 <= n`
-        // guards, inside the caller-guaranteed ranges.
-        unsafe {
-            let inv = _mm_set1_ps(inv_scale);
-            let half = _mm_set1_ps(0.5);
-            let sign = _mm_set1_ps(-0.0);
-            let hi = _mm_set1_ps(127.0);
-            let lo = _mm_set1_ps(-127.0);
-            let quant4 = |ptr: *const f32| {
-                let y = _mm_mul_ps(_mm_loadu_ps(ptr), inv);
-                let t = _mm_add_ps(y, _mm_or_ps(half, _mm_and_ps(y, sign)));
-                _mm_cvttps_epi32(_mm_max_ps(_mm_min_ps(t, hi), lo))
-            };
-            let mut j = 0;
-            while j + 8 <= n {
-                let i0 = quant4(x.add(j));
-                let i1 = quant4(x.add(j + 4));
-                _mm_storeu_si128(q.add(j) as *mut __m128i, _mm_packs_epi32(i0, i1));
-                j += 8;
-            }
-            if j + 4 <= n {
-                let i0 = quant4(x.add(j));
-                // Pack against itself and store the low 4 i16.
-                _mm_storel_epi64(q.add(j) as *mut __m128i, _mm_packs_epi32(i0, i0));
-                j += 4;
-            }
-            j
-        }
-    }
-
     /// Safe wrapper: quantizes `x` into `q` (equal lengths) on the SIMD
     /// path, finishing the tail with the shared scalar helper — every
     /// element is bit-identical to a pure-scalar quantization.
-    pub(crate) fn quantize_row(avx2: bool, x: &[f32], inv_scale: f32, q: &mut [i16]) {
+    pub(crate) fn quantize_row(x: &[f32], inv_scale: f32, q: &mut [i16]) {
         debug_assert_eq!(x.len(), q.len());
-        debug_assert!(!avx2 || std::arch::is_x86_feature_detected!("avx2"));
+        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
         // SAFETY: both pointers carry exactly `x.len()` elements and the
-        // kernels only touch indices below it; AVX2 is debug-asserted.
-        let done = unsafe {
-            if avx2 {
-                quantize_row_avx2(x.as_ptr(), inv_scale, q.as_mut_ptr(), x.len())
-            } else {
-                quantize_row_sse2(x.as_ptr(), inv_scale, q.as_mut_ptr(), x.len())
-            }
-        };
+        // kernel only touches indices below it; AVX2 is debug-asserted.
+        let done = unsafe { quantize_row_avx2(x.as_ptr(), inv_scale, q.as_mut_ptr(), x.len()) };
         for (qv, &xv) in q[done..].iter_mut().zip(&x[done..]) {
             *qv = crate::quant::quantize_activation(xv, inv_scale);
         }
@@ -2208,52 +1591,12 @@ pub(crate) mod x86 {
         }
     }
 
-    /// SSE2 variant of [`dequant_epilogue_avx2`], four lanes per step.
-    ///
-    /// # Safety
-    ///
-    /// As [`dequant_epilogue_avx2`] with `j + 4 <= n`.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn dequant_epilogue_sse2(
-        acc: *const i32,
-        acc_stride: usize,
-        dequant: *const f32,
-        bias: *const f32,
-        out: *mut f32,
-        out_stride: usize,
-        rows: usize,
-        n: usize,
-        relu: bool,
-    ) -> usize {
-        // SAFETY: all accesses bounded by `j + 4 <= n` and `r < rows`,
-        // inside the caller-guaranteed ranges.
-        unsafe {
-            let zero = _mm_setzero_ps();
-            let mut j = 0;
-            while j + 4 <= n {
-                let d = _mm_loadu_ps(dequant.add(j));
-                let b = _mm_loadu_ps(bias.add(j));
-                for r in 0..rows {
-                    let v = _mm_cvtepi32_ps(_mm_loadu_si128(
-                        acc.add(r * acc_stride + j) as *const __m128i
-                    ));
-                    let v = _mm_add_ps(_mm_mul_ps(v, d), b);
-                    let v = if relu { _mm_max_ps(v, zero) } else { v };
-                    _mm_storeu_ps(out.add(r * out_stride + j), v);
-                }
-                j += 4;
-            }
-            j
-        }
-    }
-
     /// Safe wrapper: a row block's dequantize + bias (+ ReLU) epilogue on
     /// the SIMD path, scalar tails with the identical operation sequence
     /// (see [`dequant_epilogue_avx2`] for the bit-identity argument).
     /// `n` columns per row, `rows` rows.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn dequant_epilogue_block(
-        avx2: bool,
         acc: &[i32],
         acc_stride: usize,
         dequant: &[f32],
@@ -2267,35 +1610,21 @@ pub(crate) mod x86 {
         debug_assert!(rows > 0 && dequant.len() >= n && bias.len() >= n);
         debug_assert!(acc.len() >= (rows - 1) * acc_stride + n);
         debug_assert!(out.len() >= (rows - 1) * out_stride + n);
-        debug_assert!(!avx2 || std::arch::is_x86_feature_detected!("avx2"));
-        // SAFETY: the debug-asserted lengths are the kernels' documented
+        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+        // SAFETY: the debug-asserted lengths are the kernel's documented
         // obligations; AVX2 support is debug-asserted.
         let done = unsafe {
-            if avx2 {
-                dequant_epilogue_avx2(
-                    acc.as_ptr(),
-                    acc_stride,
-                    dequant.as_ptr(),
-                    bias.as_ptr(),
-                    out.as_mut_ptr(),
-                    out_stride,
-                    rows,
-                    n,
-                    relu,
-                )
-            } else {
-                dequant_epilogue_sse2(
-                    acc.as_ptr(),
-                    acc_stride,
-                    dequant.as_ptr(),
-                    bias.as_ptr(),
-                    out.as_mut_ptr(),
-                    out_stride,
-                    rows,
-                    n,
-                    relu,
-                )
-            }
+            dequant_epilogue_avx2(
+                acc.as_ptr(),
+                acc_stride,
+                dequant.as_ptr(),
+                bias.as_ptr(),
+                out.as_mut_ptr(),
+                out_stride,
+                rows,
+                n,
+                relu,
+            )
         };
         for r in 0..rows {
             for j in done..n {
@@ -2312,10 +1641,11 @@ mod tests {
 
     #[test]
     fn parse_and_display_roundtrip() {
-        for p in [KernelPath::Scalar, KernelPath::Sse2, KernelPath::Avx2] {
+        for p in [KernelPath::Scalar, KernelPath::Avx2] {
             assert_eq!(p.as_str().parse::<KernelPath>().unwrap(), p);
         }
         assert!("neon".parse::<KernelPath>().is_err());
+        assert!("sse2".parse::<KernelPath>().is_err());
         assert_eq!("  AVX2 ".parse::<KernelPath>().unwrap(), KernelPath::Avx2);
     }
 
@@ -2333,7 +1663,12 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn x86_detection_is_at_least_sse2() {
-        assert!(detect() >= KernelPath::Sse2);
+    fn x86_detection_follows_avx2_support() {
+        let expected = if std::arch::is_x86_feature_detected!("avx2") {
+            KernelPath::Avx2
+        } else {
+            KernelPath::Scalar
+        };
+        assert_eq!(detect(), expected);
     }
 }

@@ -559,29 +559,22 @@ impl Matrix {
         let depth = self.cols;
         match path.min(kernel::detect()) {
             #[cfg(target_arch = "x86_64")]
-            KernelPath::Sse2 | KernelPath::Avx2 => {
-                let avx2 = path == KernelPath::Avx2;
-                // AVX2 sweeps the strip-aligned columns for the whole
-                // batch in a single kernel call; the narrow column tail —
-                // and the whole matrix on SSE2 — runs the per-block
-                // kernels.
-                let mut j = 0;
-                if avx2 {
-                    let strips = n / 8;
-                    if strips > 0 {
-                        kernel::x86::gemm_batch(
-                            &self.data,
-                            self.rows,
-                            depth,
-                            &rhs.data,
-                            n,
-                            strips,
-                            &mut out.data,
-                            n,
-                        );
-                        j = strips * 8;
-                    }
-                }
+            KernelPath::Avx2 => {
+                // The strip-aligned columns run for the whole batch in a
+                // single kernel call; the narrow column tail runs the
+                // per-block kernels.
+                let strips = n / 8;
+                kernel::x86::gemm_batch(
+                    &self.data,
+                    self.rows,
+                    depth,
+                    &rhs.data,
+                    n,
+                    strips,
+                    &mut out.data,
+                    n,
+                );
+                let j = strips * 8;
                 if j < n {
                     let mut i = 0;
                     while i < self.rows {
@@ -590,7 +583,6 @@ impl Matrix {
                         let out_block = &mut out.data[i * n + j..(i + ib - 1) * n + n];
                         if ib == 8 {
                             kernel::x86::gemm_block::<8>(
-                                avx2,
                                 lhs,
                                 depth,
                                 &rhs.data[j..],
@@ -602,7 +594,6 @@ impl Matrix {
                             );
                         } else {
                             kernel::x86::gemm_block::<1>(
-                                avx2,
                                 lhs,
                                 depth,
                                 &rhs.data[j..],
@@ -733,8 +724,7 @@ impl Matrix {
         out.reshape_for_overwrite(self.rows, n);
         match path {
             #[cfg(target_arch = "x86_64")]
-            KernelPath::Sse2 | KernelPath::Avx2 => {
-                let avx2 = path == KernelPath::Avx2;
+            KernelPath::Avx2 => {
                 for panel in &packed.panels {
                     let j0 = panel.j0 as usize;
                     let width = panel.width as usize;
@@ -743,10 +733,10 @@ impl Matrix {
                         &packed.data[panel.offset as usize..panel.offset as usize + depth * stride];
                     let padded = stride != width;
                     // A full panel's width is a whole number of 8-column
-                    // strips, so AVX2 sweeps it for the entire batch in
-                    // one kernel call; padded tail panels — and every
-                    // panel on SSE2 — run the per-block kernels.
-                    if avx2 && !padded {
+                    // strips, so it runs for the entire batch in one
+                    // kernel call; padded tail panels run the per-block
+                    // kernels.
+                    if !padded {
                         kernel::x86::gemm_batch(
                             &self.data,
                             self.rows,
@@ -766,11 +756,11 @@ impl Matrix {
                         let out_block = &mut out.data[i * n + j0..(i + ib - 1) * n + n];
                         if ib == 8 {
                             kernel::x86::gemm_block::<8>(
-                                avx2, lhs, depth, data, stride, width, padded, out_block, n,
+                                lhs, depth, data, stride, width, padded, out_block, n,
                             );
                         } else {
                             kernel::x86::gemm_block::<1>(
-                                avx2, lhs, depth, data, stride, width, padded, out_block, n,
+                                lhs, depth, data, stride, width, padded, out_block, n,
                             );
                         }
                         i += ib;
@@ -855,9 +845,7 @@ impl Matrix {
                 let out_row = &mut out.data[k * rhs.cols..(k + 1) * rhs.cols];
                 match path {
                     #[cfg(target_arch = "x86_64")]
-                    KernelPath::Sse2 | KernelPath::Avx2 => {
-                        kernel::x86::axpy_row(path == KernelPath::Avx2, a, rhs_row, out_row);
-                    }
+                    KernelPath::Avx2 => kernel::x86::axpy_row(a, rhs_row, out_row),
                     _ => {
                         for (o, &b) in out_row.iter_mut().zip(rhs_row) {
                             *o += a * b;
@@ -897,7 +885,7 @@ impl Matrix {
         #[cfg(not(target_arch = "x86_64"))]
         let _ = path;
         #[cfg(target_arch = "x86_64")]
-        if matches!(path, KernelPath::Sse2 | KernelPath::Avx2) {
+        if path == KernelPath::Avx2 {
             // A dot-product form would need horizontal lane sums, which
             // reorder the accumulation. Instead transpose `rhs` into a
             // thread-local scratch and run the column-vectorized GEMM:
@@ -1381,6 +1369,78 @@ mod tests {
                 for (f, r) in fused.as_slice().iter().zip(reference.as_slice()) {
                     assert_eq!(f.to_bits(), r.to_bits(), "{m}x{k}x{n} {act:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn detected_path_matches_scalar_bitwise() {
+        // Every column count through 33 covers each `cols % 8` tail of the
+        // unpadded rhs and every padded panel width; the row counts are
+        // not multiples of either path's row block (4 scalar, 8 SIMD).
+        let path = kernel::detect();
+        let depth = 7;
+        for rows in [1usize, 3, 13] {
+            for cols in 1..=33usize {
+                let a = Matrix::from_vec(
+                    rows,
+                    depth,
+                    (0..rows * depth)
+                        .map(|i| {
+                            if i % 5 == 0 {
+                                0.0
+                            } else {
+                                (i as f32 * 0.37).sin() * 2.0
+                            }
+                        })
+                        .collect(),
+                );
+                let w = Matrix::from_vec(
+                    depth,
+                    cols,
+                    (0..depth * cols)
+                        .map(|i| (i as f32 * 0.11).cos() * 1.5)
+                        .collect(),
+                );
+                let same = |x: &Matrix, y: &Matrix, what: &str| {
+                    assert_eq!(x.shape(), y.shape(), "{what} {rows}x{cols}");
+                    for (p, q) in x.as_slice().iter().zip(y.as_slice()) {
+                        assert_eq!(p.to_bits(), q.to_bits(), "{what} {rows}x{cols}");
+                    }
+                };
+                let (mut reference, mut out) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
+                a.matmul_into_with(&w, &mut reference, KernelPath::Scalar);
+                a.matmul_into_with(&w, &mut out, path);
+                same(&reference, &out, "matmul_into");
+
+                let packed = PackedWeights::pack(&w);
+                let bias: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.71).sin()).collect();
+                for act in [
+                    Activation::Relu,
+                    Activation::Tanh,
+                    Activation::Sigmoid,
+                    Activation::Identity,
+                    Activation::LeakyRelu,
+                ] {
+                    a.matmul_bias_act_into_with(
+                        &packed,
+                        &bias,
+                        act,
+                        &mut reference,
+                        KernelPath::Scalar,
+                    );
+                    a.matmul_bias_act_into_with(&packed, &bias, act, &mut out, path);
+                    same(&reference, &out, &format!("{act:?}"));
+                }
+
+                let g = Matrix::from_vec(
+                    rows,
+                    cols,
+                    (0..rows * cols).map(|i| (i as f32 * 0.23).sin()).collect(),
+                );
+                a.matmul_tn_into_with(&g, &mut reference, KernelPath::Scalar);
+                a.matmul_tn_into_with(&g, &mut out, path);
+                same(&reference, &out, "matmul_tn");
             }
         }
     }

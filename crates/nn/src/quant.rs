@@ -15,8 +15,8 @@
 //! - **Accumulation** is exact `i32` arithmetic
 //!   (`acc = Σ q_x[k] · q_w[k][j]`), so — unlike the f32 kernels, whose
 //!   bit-exactness rests on a strict accumulation order — every kernel
-//!   path (scalar, SSE2, AVX2 via `madd`) produces the identical
-//!   accumulator by associativity. The epilogue
+//!   path (scalar, AVX2 via `madd`, AVX-VNNI, AVX-512-VNNI) produces the
+//!   identical accumulator by associativity. The epilogue
 //!   `act(acc · s_in · s_w[j] + bias[j])` is shared scalar code, so the
 //!   whole layer output is bit-identical across paths.
 //!
@@ -202,15 +202,7 @@ fn int8_block<const IB: usize>(
 ) {
     match path {
         #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 | KernelPath::Avx2 => kernel::x86::int8_block::<IB>(
-            path == KernelPath::Avx2,
-            q,
-            q_stride,
-            kpairs,
-            wp,
-            acc,
-            acc_stride,
-        ),
+        KernelPath::Avx2 => kernel::x86::int8_block::<IB>(q, q_stride, kpairs, wp, acc, acc_stride),
         _ => scalar_int8_block::<IB>(q, q_stride, kpairs, wp, acc, acc_stride),
     }
 }
@@ -251,7 +243,7 @@ impl QuantizedLayer {
     }
 
     /// Quantizes the whole batch into `q` (stride `q_stride`) on the given
-    /// path — SIMD paths vectorize, but every lane reproduces
+    /// path — the AVX2 path vectorizes, but every lane reproduces
     /// [`quantize_activation`] exactly. When the stride equals the fan-in
     /// the batch quantizes in a single kernel call over the contiguous
     /// matrix storage; an odd fan-in quantizes contiguously into `qtmp`
@@ -268,11 +260,9 @@ impl QuantizedLayer {
         let (batch, fan_in) = input.shape();
         match path {
             #[cfg(target_arch = "x86_64")]
-            KernelPath::Sse2 | KernelPath::Avx2 => {
-                let avx2 = path == KernelPath::Avx2;
+            KernelPath::Avx2 => {
                 if q_stride == fan_in {
                     kernel::x86::quantize_row(
-                        avx2,
                         input.as_slice(),
                         self.inv_input_scale,
                         &mut q[..batch * fan_in],
@@ -285,7 +275,6 @@ impl QuantizedLayer {
                     // their values are irrelevant.
                     qtmp.resize(batch * fan_in + (q_stride - fan_in), 0);
                     kernel::x86::quantize_row(
-                        avx2,
                         input.as_slice(),
                         self.inv_input_scale,
                         &mut qtmp[..batch * fan_in],
@@ -311,7 +300,7 @@ impl QuantizedLayer {
     /// Dequantize + bias + activation for the columns `j0..fan_out` of a
     /// block of `rows` output rows (`acc` and `out` already sliced to
     /// start at column `j0`). ReLU and Identity (the serving network's
-    /// activations) run vectorized on the SIMD paths with bit-identical
+    /// activations) run vectorized on the AVX2 path with bit-identical
     /// scalar tails ([`relu_exact`]); the transcendental activations use
     /// one shared scalar loop on every path — still path-bit-identical,
     /// just not vectorized.
@@ -335,18 +324,9 @@ impl QuantizedLayer {
         // call would run zero vector iterations and only add overhead.
         if simple && n >= 8 {
             #[cfg(target_arch = "x86_64")]
-            if matches!(path, KernelPath::Sse2 | KernelPath::Avx2) {
+            if path == KernelPath::Avx2 {
                 kernel::x86::dequant_epilogue_block(
-                    path == KernelPath::Avx2,
-                    acc,
-                    acc_stride,
-                    dequant,
-                    bias,
-                    out,
-                    out_stride,
-                    rows,
-                    n,
-                    relu,
+                    acc, acc_stride, dequant, bias, out, out_stride, rows, n, relu,
                 );
                 return;
             }
@@ -397,7 +377,7 @@ impl QuantizedLayer {
         out.reset_for_overwrite(batch, fan_out);
         let out_data = out.as_mut_slice();
 
-        // ReLU/Identity layers on SIMD paths run the whole batched layer
+        // ReLU/Identity layers on the AVX2 path run the whole batched layer
         // — GEMM, dequantize, bias, activation, ragged tail included — in
         // one fused kernel call (bit-identical to the deferred epilogue,
         // see `kernel::x86::int8_fused`): the per-block call overhead is
@@ -406,10 +386,9 @@ impl QuantizedLayer {
         // the deferred epilogue.
         #[cfg(target_arch = "x86_64")]
         if matches!(self.activation, Activation::Relu | Activation::Identity)
-            && matches!(path, KernelPath::Sse2 | KernelPath::Avx2)
+            && path == KernelPath::Avx2
         {
             kernel::x86::int8_fused(
-                path == KernelPath::Avx2,
                 &q[..batch * q_stride],
                 q_stride,
                 kpairs,
@@ -600,7 +579,7 @@ impl QuantizedMlp {
     ) -> &'s Matrix {
         assert_eq!(input.cols(), self.input_dim(), "quantized input width");
         let path = path.min(kernel::detect());
-        // On SIMD paths an all-ReLU/Identity network runs as a fully
+        // On the AVX2 path an all-ReLU/Identity network runs as a fully
         // quantized chain: the input quantizes once, every hidden layer
         // runs one `int8_fused_quant` call whose epilogue re-quantizes
         // straight into the next layer's i16 input (f32 hidden
@@ -608,13 +587,12 @@ impl QuantizedMlp {
         // same values the materializing path would, see the kernel docs),
         // and the last layer dequantizes to f32.
         #[cfg(target_arch = "x86_64")]
-        if matches!(path, KernelPath::Sse2 | KernelPath::Avx2)
+        if path == KernelPath::Avx2
             && self
                 .layers
                 .iter()
                 .all(|l| matches!(l.activation, Activation::Relu | Activation::Identity))
         {
-            let avx2 = path == KernelPath::Avx2;
             let batch = input.rows();
             {
                 let QuantScratch {
@@ -636,7 +614,6 @@ impl QuantizedMlp {
                             q2.resize(batch * next_stride, 0);
                         }
                         kernel::x86::int8_fused_quant(
-                            avx2,
                             &q[..batch * stride],
                             stride,
                             w.kpairs,
@@ -656,7 +633,6 @@ impl QuantizedMlp {
                     } else {
                         ping.reset_for_overwrite(batch, w.fan_out);
                         kernel::x86::int8_fused(
-                            avx2,
                             &q[..batch * stride],
                             stride,
                             w.kpairs,
@@ -778,11 +754,11 @@ mod tests {
         let scalar = qmlp
             .forward_batch_with(&x, &mut scratch, KernelPath::Scalar)
             .clone();
-        for path in [KernelPath::Sse2, KernelPath::Avx2] {
-            let out = qmlp.forward_batch_with(&x, &mut scratch, path).clone();
-            for (a, b) in out.as_slice().iter().zip(scalar.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{path} vs scalar");
-            }
+        let out = qmlp
+            .forward_batch_with(&x, &mut scratch, KernelPath::Avx2)
+            .clone();
+        for (a, b) in out.as_slice().iter().zip(scalar.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "avx2 vs scalar");
         }
     }
 

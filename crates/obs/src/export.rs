@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn help_and_type_emitted_once_per_name_across_label_sets() {
         let reg = MetricsRegistry::new();
-        for stage in ["coalesce", "gemm"] {
+        for stage in ["gather", "gemm"] {
             let id = reg.histogram_with(
                 "pinnsoc_fleet_stage_seconds",
                 "Stage time.",
@@ -162,7 +162,7 @@ mod tests {
             text.matches("# TYPE pinnsoc_fleet_stage_seconds").count(),
             1
         );
-        assert!(text.contains("stage=\"coalesce\""));
+        assert!(text.contains("stage=\"gather\""));
         assert!(text.contains("stage=\"gemm\""));
     }
 

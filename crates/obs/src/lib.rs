@@ -19,9 +19,9 @@
 //!    [`LocalMetrics`] — plain `u64`/`f64` slots owned by one shard or
 //!    worker, merged into the shared [`MetricsRegistry`] at tick
 //!    boundaries by the coordinating thread. No atomics on the hot path,
-//!    no locks held by workers. When observability is not attached, the
-//!    instrumented code sees the no-op [`Recorder`] and compiles down to
-//!    nothing.
+//!    no locks held by workers. Components hold their metrics as an
+//!    `Option` attachment, so when observability is not attached the
+//!    hot path skips recording behind a single branch.
 //!
 //! ## Pieces
 //!
@@ -29,12 +29,9 @@
 //!   histograms. Registration is idempotent (same name + labels + kind
 //!   returns the same [`MetricId`]), so per-run re-registration — e.g. a
 //!   scenario runner building a pool per call — is safe and cheap.
-//! - [`LocalMetrics`] + [`Recorder`]: lock-free per-shard/per-worker
-//!   accumulation with a no-op default implementation.
-//! - [`SpanTimer`] / [`span`]: monotonic span timing around tick stages,
-//!   pool runs, training epochs, scenario runs, and adapt rounds;
-//!   durations land in histograms with [`HistogramSnapshot::quantile`]
-//!   (p50/p99) read-out.
+//! - [`LocalMetrics`]: lock-free per-shard/per-worker accumulation;
+//!   stage, pool, epoch, scenario and adapt-round durations land in
+//!   histograms with [`HistogramSnapshot::quantile`] (p50/p99) read-out.
 //! - [`RingLog`] / [`ObsEvent`]: a fixed-capacity recent-events log for
 //!   post-mortems (model swaps, drift triggers, gate verdicts, worker
 //!   panics).
@@ -67,10 +64,8 @@ pub mod export;
 pub mod hub;
 pub mod metrics;
 pub mod plane;
-pub mod recorder;
 pub mod ring;
 pub mod slo;
-pub mod span;
 pub mod trace;
 
 pub use export::prometheus_text;
@@ -80,10 +75,8 @@ pub use metrics::{
     MetricsSnapshot, SampleValue,
 };
 pub use plane::{http_get, HealthReport, HealthSource, HealthStatus, PlaneConfig, TelemetryPlane};
-pub use recorder::{NoopRecorder, Recorder};
 pub use ring::{ObsEvent, RingLog};
 pub use slo::{AlertState, SloSpec, SloStatus, SloTracker, SloTransition};
-pub use span::{span, Span, SpanTimer};
 pub use trace::{
     chrome_trace_json, current_thread_tid, FlightRecorder, SpanId, TraceSink, TraceSpan,
     DEFAULT_TRACE_CAPACITY,

@@ -30,7 +30,6 @@ fn main() {
             fleet: FleetConfig {
                 shards: 2,
                 micro_batch: 8,
-                workers: 0,
                 ekf_fallback: None,
                 ..FleetConfig::default()
             },
