@@ -22,12 +22,11 @@ use pinnsoc_adapt::{
     AdaptEvent, AdaptReport, AdaptationConfig, AdaptationEngine, DriftConfig, GateConfig,
     HarvestConfig,
 };
-use pinnsoc_bench::{demo_serving_model, demo_training_dataset, host_info, HostInfo};
+use pinnsoc_bench::{demo_serving_model, demo_training_dataset, harness, host_info, HostInfo};
 use pinnsoc_scenario::{
     gate_suite, run_scenario_observed, standard_suite, EngineSpec, Scenario, ScenarioRunner,
 };
 use serde::Serialize;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Suite seed — keep stable across PRs so the recorded numbers stay
@@ -208,7 +207,7 @@ fn score(suite: &[Scenario], model: &SocModel) -> Vec<pinnsoc_scenario::Scenario
 }
 
 fn main() {
-    let smoke = std::env::args().any(|arg| arg == "--smoke");
+    let smoke = harness::smoke();
     let workers = [0usize, 2];
     println!(
         "training the frozen lab model ({})...",
@@ -277,11 +276,6 @@ fn main() {
         });
     }
 
-    if smoke {
-        println!("\nsmoke run OK (BENCH_adapt.json untouched)");
-        return;
-    }
-
     let baseline = Baseline {
         description: "Closed-loop online adaptation: a drifting-fleet session harvests \
                       EKF-labeled windows from a live FleetEngine, fine-tunes warm-started \
@@ -302,8 +296,5 @@ fn main() {
         },
         scenarios: comparisons,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adapt.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_adapt.json");
-    println!("\nwrote BENCH_adapt.json");
+    harness::write_bench_json("adapt", smoke, &baseline);
 }

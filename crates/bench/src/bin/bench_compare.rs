@@ -15,19 +15,16 @@
 //! as `Added` and pass — so the gate degrades gracefully on a fresh
 //! checkout while still failing loudly on any real regression.
 
+use pinnsoc_bench::harness;
 use pinnsoc_bench::trajectory::{
     compare_file, default_policies, FileTrajectory, MetricStatus, TrajectoryReport,
 };
 use serde_json::Value;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 /// Where archived baselines live, relative to the workspace root.
 const HISTORY_DIR: &str = "bench_history";
-
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 fn read_json(path: &Path) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -75,8 +72,8 @@ fn print_file(t: &FileTrajectory) {
 }
 
 fn main() -> ExitCode {
-    let smoke = std::env::args().any(|arg| arg == "--smoke");
-    let root = workspace_root();
+    let smoke = harness::smoke();
+    let root = harness::workspace_root();
     let history = root.join(HISTORY_DIR);
     let policies = default_policies();
 
@@ -126,10 +123,9 @@ fn main() -> ExitCode {
         files,
         gated_regressions,
     };
-    let out = root.join("BENCH_trajectory.json");
-    let json = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(&out, json).expect("write BENCH_trajectory.json");
-    println!("\nwrote BENCH_trajectory.json ({gated_regressions} gated regression(s))");
+    // The gate's report is written in smoke mode too: CI archives it.
+    harness::write_bench_json("trajectory", false, &report);
+    println!("{gated_regressions} gated regression(s)");
 
     if report.passed() {
         ExitCode::SUCCESS

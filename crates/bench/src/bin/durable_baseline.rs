@@ -25,20 +25,17 @@
 //! to regenerate `BENCH_durable.json`. Pass `--smoke` for the CI-sized
 //! gate: same assertions, smaller fleets, no file written.
 
+use pinnsoc_bench::harness::{self, estimates, fleet_config, median, run_tick, telemetry};
 use pinnsoc_bench::{host_info, HostInfo};
 use pinnsoc_durable::{recover, DurableConfig, DurableFleet};
 use pinnsoc_fleet::testing::untrained_model;
-use pinnsoc_fleet::{CellConfig, FleetConfig, FleetEngine, SocEstimate, Telemetry};
+use pinnsoc_fleet::{FleetConfig, FleetEngine};
 use serde::Serialize;
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Serving protocol constants — same as `fleet_baseline` and
-/// `obs_baseline`, so overhead is measured against the recorded floor.
-const SHARDS: usize = 8;
-const MICRO_BATCH: usize = 512;
 /// The overhead budget: WAL-on median tick vs plain median tick.
 const MAX_OVERHEAD_FRAC: f64 = 0.05;
 /// Absolute noise floor: below this many seconds of difference, scheduler
@@ -100,47 +97,9 @@ struct Baseline {
     crash_loop_bit_identical: bool,
 }
 
+/// The serving-protocol engine over the untrained model.
 fn new_engine(fleet_size: usize) -> FleetEngine {
-    let mut engine = FleetEngine::new(
-        untrained_model(),
-        FleetConfig {
-            shards: SHARDS,
-            micro_batch: MICRO_BATCH,
-            ekf_fallback: None,
-            ..FleetConfig::default()
-        },
-    );
-    for id in 0..fleet_size as u64 {
-        engine.register(
-            id,
-            CellConfig {
-                initial_soc: 0.9,
-                capacity_ah: 3.0,
-            },
-        );
-    }
-    engine
-}
-
-fn telemetry(fleet_size: usize, id: u64, tick: f64) -> Telemetry {
-    Telemetry {
-        time_s: tick,
-        voltage_v: 3.7 - 0.2 * (id as f64 / fleet_size as f64),
-        current_a: 1.0,
-        temperature_c: 25.0,
-    }
-}
-
-/// One plain serving tick, timed.
-fn run_tick(engine: &mut FleetEngine, fleet_size: usize, tick: f64) -> f64 {
-    let start = Instant::now();
-    for id in 0..fleet_size as u64 {
-        engine.ingest(id, telemetry(fleet_size, id, tick));
-    }
-    let totals = black_box(engine.process_pending());
-    let wall = start.elapsed().as_secs_f64();
-    assert_eq!(totals, (fleet_size, fleet_size), "engine dropped cells");
-    wall
+    harness::fleet_engine(&untrained_model(), fleet_size, fleet_config())
 }
 
 /// One WAL-logged serving tick — append, process, commit, flush. Returns
@@ -157,17 +116,9 @@ fn run_durable_tick(durable: &mut DurableFleet, fleet_size: usize, tick: f64) ->
     (wall, durable.last_flush_seconds())
 }
 
-/// Every cell's estimate, bit-exact.
-fn estimates(engine: &FleetEngine, fleet_size: usize) -> Vec<(u64, SocEstimate)> {
-    (0..fleet_size as u64)
-        .map(|id| {
-            let (soc, source) = engine.estimate(id).expect("registered cell");
-            (soc.to_bits(), source)
-        })
-        .collect()
-}
-
-fn wal_overhead_check(smoke: bool) -> WalOverhead {
+/// Returns the overhead numbers and the WAL-logged engine's resolved
+/// worker-thread count.
+fn wal_overhead_check(smoke: bool) -> (WalOverhead, usize) {
     let fleet_size = if smoke { 2_000 } else { 10_000 };
     let reps = if smoke { 7 } else { 21 };
     println!("WAL overhead: {fleet_size} cells, {reps} interleaved timed ticks per engine...");
@@ -202,14 +153,11 @@ fn wal_overhead_check(smoke: bool) -> WalOverhead {
         full_samples.push(full);
         flush_samples.push(flush);
     }
-    let median = |samples: &mut Vec<f64>| {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
-    let base_median = median(&mut base_samples);
-    let hot_median = median(&mut hot_samples);
-    let full_median = median(&mut full_samples);
-    let flush_median = median(&mut flush_samples);
+    let [base_median, hot_median, full_median, flush_median] =
+        [base_samples, hot_samples, full_samples, flush_samples].map(|mut samples| {
+            samples.sort_by(f64::total_cmp);
+            median(&samples)
+        });
 
     assert_eq!(
         estimates(&base, fleet_size),
@@ -239,9 +187,10 @@ fn wal_overhead_check(smoke: bool) -> WalOverhead {
 
     let ticks = (reps + 1) as u64;
     let wal_bytes_per_tick = durable.wal_segment_bytes() / ticks;
+    let workers = durable.engine().worker_threads();
     drop(durable);
     std::fs::remove_dir_all(&dir).expect("cleanup");
-    WalOverhead {
+    let overhead = WalOverhead {
         fleet_size,
         reps,
         base_median_tick_s: base_median,
@@ -251,7 +200,8 @@ fn wal_overhead_check(smoke: bool) -> WalOverhead {
         hot_overhead_pct: hot_overhead * 100.0,
         full_overhead_pct: full_overhead * 100.0,
         wal_bytes_per_tick,
-    }
+    };
+    (overhead, workers)
 }
 
 fn recovery_check(cells: usize, tail_ticks: u64) -> RecoveryTiming {
@@ -305,13 +255,23 @@ fn recovery_check(cells: usize, tail_ticks: u64) -> RecoveryTiming {
 
 /// Kill the same fleet three times mid-run — each crash tears off a
 /// half-ingested tick — and finish bit-identical to an uncrashed control.
+/// The control runs on two worker threads and every recovery on the
+/// caller alone, so the check also pins the engine's worker-count
+/// independence on any host, one core included.
 fn crash_loop_check(smoke: bool) -> usize {
     let cells = if smoke { 256 } else { 1_024 };
     const TOTAL_TICKS: u64 = 30;
     const CRASH_TICKS: [u64; 3] = [7, 15, 23];
     println!("crash loop: {cells} cells, killed at ticks {CRASH_TICKS:?} of {TOTAL_TICKS}...");
 
-    let mut control = new_engine(cells);
+    let mut control = harness::fleet_engine(
+        &untrained_model(),
+        cells,
+        FleetConfig {
+            workers: 2,
+            ..fleet_config()
+        },
+    );
     for tick in 1..=TOTAL_TICKS {
         run_tick(&mut control, cells, tick as f64);
     }
@@ -359,9 +319,9 @@ fn crash_loop_check(smoke: bool) -> usize {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|arg| arg == "--smoke");
+    let smoke = harness::smoke();
 
-    let wal = wal_overhead_check(smoke);
+    let (wal, workers) = wal_overhead_check(smoke);
     let recovery_sizes: &[(usize, u64)] = if smoke {
         &[(1_000, 8)]
     } else {
@@ -373,11 +333,6 @@ fn main() {
         .collect();
     let crashes = crash_loop_check(smoke);
 
-    if smoke {
-        println!("\nsmoke run OK (BENCH_durable.json untouched)");
-        return;
-    }
-
     let baseline = Baseline {
         description: "Durability overhead and recovery: identical fleets ticked with and \
                       without WAL logging (median hot-path tick overhead budgeted at 5%, \
@@ -386,14 +341,11 @@ fn main() {
                       must finish bit-identical to an uncrashed control"
             .into(),
         max_overhead_frac: MAX_OVERHEAD_FRAC,
-        host: host_info(0),
+        host: host_info(workers),
         wal,
         recovery,
         crash_loop_crashes: crashes,
         crash_loop_bit_identical: true,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_durable.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_durable.json");
-    println!("\nwrote BENCH_durable.json");
+    harness::write_bench_json("durable", smoke, &baseline);
 }

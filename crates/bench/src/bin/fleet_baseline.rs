@@ -13,22 +13,16 @@
 //! size) so the perf trajectory across PRs is comparable.
 
 use pinnsoc::{BatchScratch, PredictQuery, SocModel};
+use pinnsoc_bench::harness::{self, fleet_config, median, median_time, MICRO_BATCH, SHARDS};
 use pinnsoc_bench::{host_info_with_mode, HostInfo};
 use pinnsoc_fleet::testing::{quantize_untrained, untrained_model};
 use pinnsoc_fleet::{
-    CellConfig, FleetConfig, FleetEngine, GateCertificate, GateTolerance, ServingMode, Telemetry,
-    WorkloadQuery,
+    FleetConfig, FleetEngine, GateCertificate, GateTolerance, ServingMode, Telemetry, WorkloadQuery,
 };
 use serde::Serialize;
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Serving protocol constants — keep stable across PRs so the recorded
-/// numbers stay comparable.
-const SHARDS: usize = 8;
-const MICRO_BATCH: usize = 512;
 
 #[derive(Debug, Serialize)]
 struct StageBreakdownMs {
@@ -92,49 +86,24 @@ fn queries(n: usize) -> Vec<PredictQuery> {
         .collect()
 }
 
-/// Median seconds per call of `f` over `reps` timed repetitions (after one
-/// warm-up call).
-fn median_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 /// Builds a serving engine over `fleet_size` registered cells; in int8
 /// mode, installs a quantized shadow of the incumbent through the
 /// certificate door (this bench measures speed, not accuracy, so the
 /// certificate is minted from trivially-equal gate scores — the legality
 /// chain itself is exercised by the scenario gate tests).
 fn serving_engine(model: &SocModel, fleet_size: usize, int8: bool) -> FleetEngine {
-    let mut engine = FleetEngine::new(
-        model.clone(),
+    let engine = harness::fleet_engine(
+        model,
+        fleet_size,
         FleetConfig {
-            shards: SHARDS,
-            micro_batch: MICRO_BATCH,
             serving: if int8 {
                 ServingMode::Int8
             } else {
                 ServingMode::F32
             },
-            ..FleetConfig::default()
+            ..fleet_config()
         },
     );
-    for id in 0..fleet_size as u64 {
-        engine.register(
-            id,
-            CellConfig {
-                initial_soc: 0.9,
-                capacity_ah: 3.0,
-            },
-        );
-    }
     if int8 {
         let registry = engine.registry();
         let incumbent = registry.current();
@@ -205,7 +174,7 @@ fn engine_pass(
         ingest_total_s += ingest_s;
     }
     tick_samples.sort_by(f64::total_cmp);
-    let engine_s = tick_samples[tick_samples.len() / 2];
+    let engine_s = median(&tick_samples);
     let stages = engine.stage_times();
     let per_tick_ms = |s: f64| s * 1e3 / reps as f64;
     let mean_tick_s: f64 = tick_samples.iter().sum::<f64>();
@@ -284,7 +253,7 @@ fn measure(model: &SocModel, fleet_size: usize, reps: usize, check: bool) -> Siz
 }
 
 fn main() {
-    let smoke = std::env::args().any(|arg| arg == "--smoke");
+    let smoke = harness::smoke();
     let model = untrained_model();
     let reps = if smoke { 3 } else { 15 };
     let sizes: &[usize] = if smoke {
@@ -320,11 +289,6 @@ fn main() {
         })
         .collect();
 
-    if smoke {
-        println!("\nsmoke run OK (BENCH_fleet.json untouched)");
-        return;
-    }
-
     // Report the default worker count the measured engines resolved.
     let probe = serving_engine(&model, 1, false);
     let baseline = Baseline {
@@ -339,8 +303,5 @@ fn main() {
         host: host_info_with_mode(probe.worker_threads(), "f32+int8"),
         results,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fleet.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_fleet.json");
-    println!("\nwrote BENCH_fleet.json");
+    harness::write_bench_json("fleet", smoke, &baseline);
 }

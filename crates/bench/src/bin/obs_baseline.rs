@@ -27,25 +27,19 @@
 //! the adaptation session carry real allocation deltas.
 
 use pinnsoc_adapt::{AdaptationConfig, AdaptationEngine, DriftConfig, GateConfig, HarvestConfig};
+use pinnsoc_bench::harness::{self, estimates, fleet_config, median, run_tick, SHARDS};
 use pinnsoc_bench::{demo_serving_model, demo_training_dataset, host_info, HostInfo};
 use pinnsoc_fleet::testing::untrained_model;
-use pinnsoc_fleet::{CellConfig, FleetConfig, FleetEngine, SocEstimate, Telemetry};
+use pinnsoc_fleet::FleetEngine;
 use pinnsoc_obs::{FlightRecorder, ObsHub, SampleValue};
 use pinnsoc_scenario::{
     run_scenario_observed, smoke_suite, standard_suite, EngineSpec, Scenario, ScenarioRunner,
 };
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::hint::black_box;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Serving protocol constants — same as `fleet_baseline` so the overhead
-/// numbers are measured against the recorded perf floor.
-const SHARDS: usize = 8;
-const MICRO_BATCH: usize = 512;
 /// Suite seed shared with the other baselines.
 const SUITE_SEED: u64 = 42;
 /// The overhead budget: obs-on median tick vs obs-off median tick.
@@ -116,49 +110,6 @@ struct Baseline {
     events_retained: usize,
 }
 
-fn new_engine(model: &pinnsoc::SocModel, fleet_size: usize) -> FleetEngine {
-    let mut engine = FleetEngine::new(
-        model.clone(),
-        FleetConfig {
-            shards: SHARDS,
-            micro_batch: MICRO_BATCH,
-            ekf_fallback: None,
-            ..FleetConfig::default()
-        },
-    );
-    for id in 0..fleet_size as u64 {
-        engine.register(
-            id,
-            CellConfig {
-                initial_soc: 0.9,
-                capacity_ah: 3.0,
-            },
-        );
-    }
-    engine
-}
-
-/// One serving tick: ingest a report per cell, then process. Returns the
-/// wall time of the whole tick.
-fn run_tick(engine: &mut FleetEngine, fleet_size: usize, tick: f64) -> f64 {
-    let start = Instant::now();
-    for id in 0..fleet_size as u64 {
-        engine.ingest(
-            id,
-            Telemetry {
-                time_s: tick,
-                voltage_v: 3.7 - 0.2 * (id as f64 / fleet_size as f64),
-                current_a: 1.0,
-                temperature_c: 25.0,
-            },
-        );
-    }
-    let totals = black_box(engine.process_pending());
-    let wall = start.elapsed().as_secs_f64();
-    assert_eq!(totals, (fleet_size, fleet_size), "engine dropped cells");
-    wall
-}
-
 /// Median tick times for both engines, interleaved tick-for-tick (after
 /// one warm-up tick each) so machine-load drift during the run biases
 /// neither engine. Both see the identical telemetry sequence.
@@ -179,35 +130,24 @@ fn median_ticks(
     }
     base_samples.sort_by(f64::total_cmp);
     obs_samples.sort_by(f64::total_cmp);
-    (
-        base_samples[base_samples.len() / 2],
-        obs_samples[obs_samples.len() / 2],
-    )
+    (median(&base_samples), median(&obs_samples))
 }
 
-/// Every cell's estimate, bit-exact (`f64::to_bits`).
-fn estimates(engine: &FleetEngine, fleet_size: usize) -> Vec<(u64, SocEstimate)> {
-    (0..fleet_size as u64)
-        .map(|id| {
-            let (soc, source) = engine.estimate(id).expect("registered cell");
-            (soc.to_bits(), source)
-        })
-        .collect()
-}
-
-fn fleet_check(smoke: bool) -> (FleetOverhead, Arc<ObsHub>) {
+/// Returns the overhead numbers and the observed engine's resolved
+/// worker-thread count.
+fn fleet_check(smoke: bool) -> (FleetOverhead, usize) {
     let fleet_size = if smoke { 2_000 } else { 10_000 };
     let reps = if smoke { 7 } else { 21 };
     let model = untrained_model();
 
     println!("fleet overhead: {fleet_size} cells, {reps} interleaved timed ticks per engine...");
-    let mut base = new_engine(&model, fleet_size);
+    let mut base = harness::fleet_engine(&model, fleet_size, fleet_config());
     let hub = ObsHub::new();
     // The observed engine carries the full instrumentation load: metrics
     // AND the flight recorder, so the overhead budget covers causal span
     // capture too.
     let recorder = FlightRecorder::with_default_capacity();
-    let mut observed = new_engine(&model, fleet_size);
+    let mut observed = harness::fleet_engine(&model, fleet_size, fleet_config());
     observed.attach_obs(&hub);
     observed.attach_tracer(&recorder, 1);
     let (base_median, obs_median) = median_ticks(&mut base, &mut observed, fleet_size, reps);
@@ -275,7 +215,7 @@ fn fleet_check(smoke: bool) -> (FleetOverhead, Arc<ObsHub>) {
             obs_tick_p99_s: tick_hist.quantile(0.99),
             trace_spans,
         },
-        hub,
+        observed.worker_threads(),
     )
 }
 
@@ -430,13 +370,13 @@ fn adapt_check(model: &pinnsoc::SocModel) -> (bool, usize, usize) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|arg| arg == "--smoke");
+    let smoke = harness::smoke();
     assert!(
         pinnsoc_obs::alloc_hook::install(alloc_count),
         "obs_baseline owns the process's counting allocator"
     );
 
-    let (fleet, _fleet_hub) = fleet_check(smoke);
+    let (fleet, workers) = fleet_check(smoke);
 
     // Identity checks need determinism, not scale: both modes use the
     // smoke-sized model and suites.
@@ -445,11 +385,6 @@ fn main() {
     let scenario_ok = scenario_check(&model);
     let (adapt_ok, metric_series, events_retained) = adapt_check(&model);
 
-    if smoke {
-        println!("\nsmoke run OK (BENCH_obs.json untouched)");
-        return;
-    }
-
     let baseline = Baseline {
         description: "Observability overhead and bit-identity: identical fleets ticked with \
                       and without an attached ObsHub (median tick overhead budgeted at 2%), \
@@ -457,15 +392,12 @@ fn main() {
                       an observed closed-loop adaptation session"
             .into(),
         max_overhead_frac: MAX_OVERHEAD_FRAC,
-        host: host_info(0),
+        host: host_info(workers),
         fleet,
         scenario_reports_bit_identical: scenario_ok,
         adapt_sessions_bit_identical: adapt_ok,
         metric_series,
         events_retained,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_obs.json");
-    println!("\nwrote BENCH_obs.json");
+    harness::write_bench_json("obs", smoke, &baseline);
 }

@@ -10,10 +10,9 @@
 //! `BENCH_scenarios.json`. The full run performs the same determinism check
 //! before writing the file.
 
-use pinnsoc_bench::{demo_serving_model, host_info, HostInfo};
+use pinnsoc_bench::{demo_serving_model, harness, host_info, HostInfo};
 use pinnsoc_scenario::{smoke_suite, standard_suite, Scenario, ScenarioRunner, SuiteRun};
 use serde::Serialize;
-use std::path::Path;
 
 /// Suite seed — keep stable across PRs so the recorded accuracy numbers
 /// stay comparable.
@@ -95,7 +94,7 @@ fn print_table(run: &SuiteRun) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|arg| arg == "--smoke");
+    let smoke = harness::smoke();
     let workers = [0usize, 2];
     println!(
         "training the serving model ({})...",
@@ -103,9 +102,13 @@ fn main() {
     );
     let model = demo_serving_model(smoke);
 
+    let suite = if smoke {
+        smoke_suite(SUITE_SEED)
+    } else {
+        standard_suite(SUITE_SEED)
+    };
+    let run = run_with_determinism_check(&suite, &model, workers);
     if smoke {
-        let suite = smoke_suite(SUITE_SEED);
-        let run = run_with_determinism_check(&suite, &model, workers);
         for r in &run.report.scenarios {
             assert!(
                 r.ticks > 0 && r.best.count > 0,
@@ -118,13 +121,7 @@ fn main() {
                 r.name
             );
         }
-        print_table(&run);
-        println!("\nsmoke run OK (BENCH_scenarios.json untouched)");
-        return;
     }
-
-    let suite = standard_suite(SUITE_SEED);
-    let run = run_with_determinism_check(&suite, &model, workers);
     print_table(&run);
 
     let SuiteRun { report, timings } = run;
@@ -150,8 +147,5 @@ fn main() {
         host: host_info(workers[1]),
         scenarios,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scenarios.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_scenarios.json");
-    println!("\nwrote BENCH_scenarios.json");
+    harness::write_bench_json("scenarios", smoke, &baseline);
 }

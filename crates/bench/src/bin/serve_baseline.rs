@@ -34,9 +34,10 @@
 //! capacity are stamped next to the host metadata). Pass `--smoke` for
 //! the CI-sized gate: same assertions, smaller fleet, no file written.
 
+use pinnsoc_bench::harness::{self, fleet_config, median, percentile, register_cells};
 use pinnsoc_bench::{host_info, HostInfo};
 use pinnsoc_fleet::testing::untrained_model;
-use pinnsoc_fleet::{CellConfig, FleetConfig, Telemetry};
+use pinnsoc_fleet::{FleetConfig, Telemetry};
 use pinnsoc_obs::{AlertState, ObsHub, SloSpec};
 use pinnsoc_scenario::{FaultChannel, FaultModel};
 use pinnsoc_serve::{ServeConfig, ServeTier, SloConfig, SloReport};
@@ -47,8 +48,6 @@ use std::time::Instant;
 
 /// Engines the latency tiers shard across (the acceptance floor is 2).
 const ENGINES: usize = 4;
-/// Per-engine fleet shards.
-const SHARDS: usize = 8;
 /// Absolute ingest-to-estimate p99 budget, seconds. Generous: the bound
 /// exists to catch pathologies (a blocked tick loop, an unbounded drain),
 /// not to race the hardware.
@@ -117,32 +116,20 @@ fn build_tier(cells: usize, engines: usize, ring_capacity: usize) -> ServeTier {
         ServeConfig {
             engines,
             ring_capacity,
-            fleet: FleetConfig {
-                shards: SHARDS,
-                micro_batch: 512,
-                ekf_fallback: None,
-                ..FleetConfig::default()
-            },
+            fleet: fleet_config(),
             durability: None,
         },
     )
     .expect("plain tier never does IO");
-    for id in 0..cells as u64 {
-        tier.register(
-            id,
-            CellConfig {
-                initial_soc: 0.9,
-                capacity_ah: 3.0,
-            },
-        );
-    }
+    register_cells(cells, |id, cell| tier.register(id, cell));
     tier
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
+/// Worker threads the tier's engines resolved, summed over its lanes.
+fn lane_workers(tier: &ServeTier) -> usize {
+    (0..ENGINES)
+        .map(|i| tier.engine(i).expect("lane is up").worker_threads())
+        .sum()
 }
 
 /// Drives one traffic shape through a fresh tier and folds every tick's
@@ -343,8 +330,8 @@ fn reader_contention_check(cells: usize, ring_capacity: usize, smoke: bool) -> R
     let (mut on, queries) = run(reader_threads);
     off.sort_by(f64::total_cmp);
     on.sort_by(f64::total_cmp);
-    let off_median = off[off.len() / 2];
-    let on_median = on[on.len() / 2];
+    let off_median = median(&off);
+    let on_median = median(&on);
     let overhead = (on_median - off_median) / off_median;
     println!(
         "  off {:.3} ms | on {:.3} ms ({:+.2}%) | {queries} reader queries",
@@ -476,15 +463,7 @@ fn topology_bit_identity_check() {
             },
         )
         .expect("plain tier");
-        for id in 0..CELLS {
-            tier.register(
-                id,
-                CellConfig {
-                    initial_soc: 0.9,
-                    capacity_ah: 3.0,
-                },
-            );
-        }
+        register_cells(CELLS as usize, |id, cell| tier.register(id, cell));
         let handle = tier.handle();
         for tick in 1..=TICKS {
             for id in 0..CELLS {
@@ -513,7 +492,7 @@ fn topology_bit_identity_check() {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|arg| arg == "--smoke");
+    let smoke = harness::smoke();
     let cells = if smoke { 4_000 } else { 100_000 };
     let ring_capacity = if smoke { 1 << 13 } else { 1 << 17 };
     let budget = if smoke {
@@ -536,11 +515,6 @@ fn main() {
     topology_bit_identity_check();
     let slo = slo_session(cells, ring_capacity);
 
-    if smoke {
-        println!("\nsmoke run OK (BENCH_serve.json untouched)");
-        return;
-    }
-
     let baseline = Baseline {
         description: "Serve-tier deployment baseline: ingest-to-estimate latency \
                       percentiles (producer ring enqueue to snapshot publish) under \
@@ -551,7 +525,9 @@ fn main() {
                       SLO engine driven through a healthy -> backpressure-flood -> \
                       recovery alerting cycle"
             .into(),
-        host: host_info(0),
+        // A cell-less tier of the measured configuration resolves the same
+        // per-lane worker counts as the measured tiers.
+        host: host_info(lane_workers(&build_tier(0, ENGINES, ring_capacity))),
         router_engines: ENGINES,
         ring_capacity,
         cells,
@@ -561,8 +537,5 @@ fn main() {
         topology_bit_identical: true,
         slo,
     };
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_serve.json");
-    println!("\nwrote BENCH_serve.json");
+    harness::write_bench_json("serve", smoke, &baseline);
 }

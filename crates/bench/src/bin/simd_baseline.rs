@@ -32,6 +32,7 @@
 //! minimum estimates uncontended speed, which is what the contract is
 //! about.
 
+use pinnsoc_bench::harness::{self, min_time, MICRO_BATCH};
 use pinnsoc_bench::{host_info_with_mode, HostInfo};
 use pinnsoc_nn::kernel::{self, KernelPath};
 use pinnsoc_nn::{
@@ -42,11 +43,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::hint::black_box;
-use std::path::Path;
-use std::time::Instant;
 
-/// Fleet serving micro-batch (keep in sync with `fleet_baseline`).
-const MICRO_BATCH: usize = 512;
 /// The serving MLP widths (both PINN branches use these hidden layers).
 const WIDTHS: [usize; 5] = [3, 16, 32, 16, 1];
 
@@ -96,22 +93,6 @@ struct Baseline {
     paths_measured: Vec<String>,
     shapes: Vec<ShapeResult>,
     forward: ForwardResult,
-}
-
-/// Minimum seconds per call of `f` over `reps` timed repetitions (after
-/// one warm-up call). The minimum, not the median: shared hosts show
-/// long contended stretches that shift the median run-to-run, while the
-/// fastest observed run converges on the uncontended speed the kernel
-/// contract is about.
-fn min_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
@@ -183,7 +164,7 @@ fn measure_shape(rng: &mut StdRng, reps: usize, m: usize, k: usize, n: usize) ->
 }
 
 fn main() {
-    let smoke = std::env::args().any(|arg| arg == "--smoke");
+    let smoke = harness::smoke();
     let reps = if smoke { 7 } else { 41 };
     let mut rng = StdRng::seed_from_u64(42);
 
@@ -301,11 +282,6 @@ fn main() {
         );
     }
 
-    if smoke {
-        println!("\nsmoke run OK (BENCH_simd.json untouched)");
-        return;
-    }
-
     let baseline = Baseline {
         description: "Fused GEMM kernel microbench on the serving MLP shapes: f32 per \
                       kernel path plus the int8 quantized forward"
@@ -328,8 +304,5 @@ fn main() {
             int8_shape_speedup_vs_simd: int8_shape_speedup,
         },
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_simd.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_simd.json");
-    println!("\nwrote BENCH_simd.json");
+    harness::write_bench_json("simd", smoke, &baseline);
 }

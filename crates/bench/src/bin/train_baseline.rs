@@ -16,7 +16,7 @@
 use pinnsoc::train::{run_epochs, Batcher, EpochSpec, Eq2Objective, PhysicsTerm};
 use pinnsoc::{train, train_many, Branch2, PinnVariant, TrainConfig, TrainTask};
 use pinnsoc_battery::Chemistry;
-use pinnsoc_bench::{host_info, HostInfo};
+use pinnsoc_bench::{harness, host_info, HostInfo};
 use pinnsoc_data::{
     estimation_samples, generate_sandia, prediction_pairs_all, NoiseConfig, Normalizer,
     PhysicsSampler, SandiaConfig, SocDataset,
@@ -27,7 +27,6 @@ use rand::SeedableRng;
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -373,7 +372,7 @@ fn multi_seed(ds: &SocDataset, seeds: usize, epochs: usize) -> MultiSeed {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|arg| arg == "--smoke");
+    let smoke = harness::smoke();
     let ds = dataset();
     let (b1_features, b1_targets) = b1_problem(&ds);
     let (b2_features, b2_targets, b2_branch) = b2_problem(&ds);
@@ -445,11 +444,6 @@ fn main() {
         multi.seeds, multi.serial_seconds, multi.workers, multi.pool_seconds, multi.speedup
     );
 
-    if smoke {
-        println!("\nsmoke run OK (BENCH_train.json untouched)");
-        return;
-    }
-
     let baseline = Baseline {
         description: "Steady-state training throughput per branch, per-step heap allocations \
                       (classic allocating loop vs scratch-reusing engine), and serial vs \
@@ -461,8 +455,5 @@ fn main() {
         step_allocations,
         multi_seed: multi,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_train.json");
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    std::fs::write(&path, json).expect("write BENCH_train.json");
-    println!("\nwrote BENCH_train.json");
+    harness::write_bench_json("train", smoke, &baseline);
 }

@@ -1,7 +1,8 @@
 //! # pinnsoc-bench
 //!
 //! Experiment harness reproducing every figure and table of the paper's
-//! evaluation (§V), plus shared utilities for the Criterion benches.
+//! evaluation (§V), plus the one bench harness ([`harness`]) behind the
+//! `*_baseline` bins that record `BENCH_*.json`.
 //!
 //! Each experiment has a binary that regenerates the corresponding rows:
 //!
@@ -17,13 +18,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod trajectory;
 
 use pinnsoc::{eval_prediction, train, PinnVariant, SocModel, TrainConfig};
 use pinnsoc_data::SocDataset;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::path::Path;
 
 /// The lab dataset behind [`demo_serving_model`]: the reduced Sandia
 /// protocol (one NMC cell, one temperature, no noise). Also the
@@ -278,13 +279,12 @@ pub fn git_rev() -> String {
 ///
 /// Returns an I/O error when the directory or file cannot be written.
 pub fn write_results_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<()> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
-    std::fs::write(&path, json)?;
-    println!("\nwrote results/{name}.json");
-    Ok(())
+    harness::write_json_in(
+        &harness::workspace_root(),
+        &format!("results/{name}.json"),
+        false,
+        value,
+    )
 }
 
 #[cfg(test)]
